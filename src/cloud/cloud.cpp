@@ -237,20 +237,22 @@ std::vector<double> Cloud::probe_series_bps(VmId src, VmId dst, double duration_
   return series;
 }
 
-std::vector<packetsim::RecordingSink::Record> Cloud::send_train_impl(
-    VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t sink_seed,
-    std::uint64_t route_key, const std::function<double()>& shaper_jitter_frac,
-    const TrafficSnapshot* snapshot) const {
+packetsim::TrainSpec Cloud::train_spec(VmId src, VmId dst,
+                                       const packetsim::TrainParams& params,
+                                       std::uint64_t sink_seed, std::uint64_t route_key,
+                                       const std::function<double()>& shaper_jitter_frac,
+                                       const TrafficSnapshot* snapshot) const {
   CHOREO_REQUIRE(src < vms_.size() && dst < vms_.size());
   CHOREO_REQUIRE(src != dst);
-  packetsim::EventQueue events;
-  packetsim::RecordingSink sink(profile_.timestamp_jitter_s, sink_seed);
+  packetsim::TrainSpec spec;
+  spec.timestamp_jitter_s = profile_.timestamp_jitter_s;
+  spec.sink_seed = sink_seed;
 
   const net::NodeId src_host = vms_[src].host;
   const net::NodeId dst_host = vms_[dst].host;
 
-  packetsim::ShaperSpec shaper;
-  std::vector<packetsim::HopSpec> hops;
+  packetsim::ShaperSpec& shaper = spec.shaper;
+  std::vector<packetsim::HopSpec>& hops = spec.hops;
   if (src_host == dst_host) {
     shaper.enabled = false;
     hops.push_back(packetsim::HopSpec{profile_.vswitch_rate_bps, 5e-6, 2e6});
@@ -276,20 +278,26 @@ std::vector<packetsim::RecordingSink::Record> Cloud::send_train_impl(
     }
   }
 
-  packetsim::Path path(events, shaper, hops, &sink);
-  packetsim::TrainParams tuned = params;
-  tuned.line_rate_bps = profile_.vnic_rate_bps;
-  packetsim::send_train(events, path.entry(), tuned, /*flow_id=*/1, /*start_time=*/0.0);
-  events.run();
-  return sink.records();
+  spec.params = params;
+  spec.params.line_rate_bps = profile_.vnic_rate_bps;
+  return spec;  // flow 1, sent at t = 0
+}
+
+std::vector<packetsim::RecordingSink::Record> Cloud::send_train_impl(
+    const packetsim::TrainSpec& spec) const {
+  CHOREO_OBS_INC(obs_handles_.trains, obs_);
+  if (auto records = packetsim::run_train_pass(spec)) return std::move(*records);
+  // A tie instant the pass cannot order: the event simulator decides it.
+  CHOREO_OBS_INC(obs_handles_.train_fallbacks, obs_);
+  return packetsim::run_train_events(spec);
 }
 
 std::vector<packetsim::RecordingSink::Record> Cloud::run_train(
     VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t epoch) {
-  return send_train_impl(src, dst, params, substream(seed_, epoch, 21),
-                         substream(seed_, epoch, 22),
-                         [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); },
-                         /*snapshot=*/nullptr);
+  return send_train_impl(train_spec(
+      src, dst, params, substream(seed_, epoch, 21), substream(seed_, epoch, 22),
+      [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); },
+      /*snapshot=*/nullptr));
 }
 
 Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
@@ -314,6 +322,12 @@ Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
 std::vector<packetsim::RecordingSink::Record> Cloud::run_train_in_snapshot(
     VmId src, VmId dst, const packetsim::TrainParams& params,
     const TrafficSnapshot& snapshot) const {
+  return send_train_impl(train_spec_in_snapshot(src, dst, params, snapshot));
+}
+
+packetsim::TrainSpec Cloud::train_spec_in_snapshot(VmId src, VmId dst,
+                                                   const packetsim::TrainParams& params,
+                                                   const TrafficSnapshot& snapshot) const {
   // Same train construction as run_train, but every noise stream is keyed by
   // (seed, epoch, src, dst) instead of shared order-dependent RNG state, and
   // hop capacities come from the round's cross-traffic snapshot.
@@ -322,9 +336,8 @@ std::vector<packetsim::RecordingSink::Record> Cloud::run_train_in_snapshot(
     Rng rng(substream(seed_, epoch, pair_salt(src, dst, 1)));
     return rng.normal(0.0, profile_.train_rate_jitter_frac);
   };
-  return send_train_impl(src, dst, params, substream(seed_, epoch, pair_salt(src, dst, 0)),
-                         substream(seed_, epoch, pair_salt(src, dst, 2)), jitter,
-                         &snapshot);
+  return train_spec(src, dst, params, substream(seed_, epoch, pair_salt(src, dst, 0)),
+                    substream(seed_, epoch, pair_salt(src, dst, 2)), jitter, &snapshot);
 }
 
 std::vector<std::vector<packetsim::RecordingSink::Record>> Cloud::run_train_round(
@@ -382,6 +395,8 @@ void Cloud::set_observer(const obs::Observer& o) {
   obs_handles_.recomputes = o.counter("flowsim.recomputes");
   obs_handles_.waterfill_rounds = o.counter("flowsim.waterfill_rounds");
   obs_handles_.reallocations = o.counter("flowsim.reallocations");
+  obs_handles_.trains = o.counter("packetsim.trains");
+  obs_handles_.train_fallbacks = o.counter("packetsim.train_fallbacks");
 }
 
 Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,

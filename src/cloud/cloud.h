@@ -12,9 +12,8 @@
 #include "net/routing.h"
 #include "obs/observer.h"
 #include "net/topology.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/path.h"
 #include "packetsim/sink.h"
+#include "packetsim/train_pass.h"
 #include "packetsim/udp_train.h"
 #include "util/rng.h"
 
@@ -118,6 +117,13 @@ class Cloud {
       VmId src, VmId dst, const packetsim::TrainParams& params,
       const TrafficSnapshot& snapshot) const;
 
+  /// The train run_train_in_snapshot sends: shaper, hops, shape and noise
+  /// seeds, for checking its records against an event simulation built by
+  /// hand.
+  packetsim::TrainSpec train_spec_in_snapshot(VmId src, VmId dst,
+                                              const packetsim::TrainParams& params,
+                                              const TrafficSnapshot& snapshot) const;
+
   /// Runs one conflict-free round of trains — no VM may appear twice as a
   /// source or twice as a destination — on up to `workers` threads. Results
   /// are parallel to `pairs` and byte-identical for any worker count
@@ -151,9 +157,11 @@ class Cloud {
 
   /// Attaches the observability plane to execute(): per-call
   /// "flowsim.execute" spans and flowsim.* kernel counters (recompute
-  /// scope, waterfill rounds, reallocations). execute() may run on several
-  /// threads at once — counter adds are atomic and spans commit lock-free,
-  /// so attaching an observer never serializes callers.
+  /// scope, waterfill rounds, reallocations); and to the packet trains:
+  /// packetsim.trains, and packetsim.train_fallbacks for trains the
+  /// event-free pass left to the event simulator. execute() and trains may
+  /// run on several threads at once — counter adds are atomic and spans
+  /// commit lock-free, so attaching an observer never serializes callers.
   void set_observer(const obs::Observer& o);
 
   /// Noise-free fair-share rate a fresh probe src->dst would get right now.
@@ -188,11 +196,14 @@ class Cloud {
   /// Shared train construction behind run_train and run_train_in_snapshot;
   /// `shaper_jitter_frac` is invoked only for inter-host trains, `snapshot`
   /// (optional) caps hop capacities at the background's leftovers.
+  packetsim::TrainSpec train_spec(VmId src, VmId dst, const packetsim::TrainParams& params,
+                                  std::uint64_t sink_seed, std::uint64_t route_key,
+                                  const std::function<double()>& shaper_jitter_frac,
+                                  const TrafficSnapshot* snapshot) const;
+  /// Runs a train on the event-free pass, falling back to the event
+  /// simulator when the pass leaves it undecided.
   std::vector<packetsim::RecordingSink::Record> send_train_impl(
-      VmId src, VmId dst, const packetsim::TrainParams& params,
-      std::uint64_t sink_seed, std::uint64_t route_key,
-      const std::function<double()>& shaper_jitter_frac,
-      const TrafficSnapshot* snapshot) const;
+      const packetsim::TrainSpec& spec) const;
 
   ProviderProfile profile_;
   std::uint64_t seed_;
@@ -208,6 +219,7 @@ class Cloud {
   obs::Observer obs_;
   struct ObsHandles {
     obs::Counter executes, flows, recomputes, waterfill_rounds, reallocations;
+    obs::Counter trains, train_fallbacks;
   };
   ObsHandles obs_handles_;
 };

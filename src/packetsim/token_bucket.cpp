@@ -37,10 +37,6 @@ void TokenBucket::receive(const Packet& pkt, double now) {
 void TokenBucket::pump(double now) {
   refill(now);
   last_activity_ = now;
-  // The small tolerance absorbs float rounding between the scheduled wait
-  // and the refill integral; without it the wake-up can land a hair short
-  // of the packet size and reschedule forever.
-  constexpr double kByteTolerance = 1e-6;
   while (!queue_.empty() && tokens_ + kByteTolerance >= queue_.front().wire_bytes) {
     const Packet pkt = queue_.front();
     queue_.pop_front();
@@ -51,11 +47,10 @@ void TokenBucket::pump(double now) {
     draining_ = false;
     return;
   }
-  // Not enough tokens for the head packet: wake up when there are (with a
-  // nanosecond of slack so the refill is guaranteed to cover the deficit).
+  // Not enough tokens for the head packet: wake up when there are.
   draining_ = true;
   const double deficit = queue_.front().wire_bytes - tokens_;
-  const double wait = deficit * 8.0 / rate_bps_ + 1e-9;
+  const double wait = deficit * 8.0 / rate_bps_ + kWakeSlackS;
   events_.schedule(now + wait, [this] { pump(events_.now()); });
 }
 

@@ -30,6 +30,14 @@ class TokenBucket : public Element {
   TokenBucket(EventQueue& events, double rate_bps, double depth_bytes, Element* next,
               double idle_reset_s = -1.0);
 
+  /// Absorbs float rounding between the scheduled wait and the refill
+  /// integral; without it the wake-up can land a hair short of the packet
+  /// size and reschedule forever.
+  static constexpr double kByteTolerance = 1e-6;
+  /// Added to every wake-up wait so the refill is guaranteed to cover the
+  /// deficit.
+  static constexpr double kWakeSlackS = 1e-9;
+
   void receive(const Packet& pkt, double now) override;
 
   double tokens() const { return tokens_; }
