@@ -72,8 +72,8 @@ SweepResult run_point(const SweepPoint& point, const measure::MeasurementPlan& m
   opts.max_samples_per_report = point.max_samples;
   opts.max_reports_per_cycle = point.max_reports;
 
-  agent::AgentPlane plane(cloud, vms, mplan, refresh, forecast::ForecastOptions{},
-                          opts);
+  agent::MeasureCycle measurement(cloud, vms, mplan, refresh, forecast::ForecastOptions{});
+  agent::AgentPlane plane(measurement, opts);
 
   // One dense CPU-heavy application placed on every cycle's view; believed
   // rates on its chosen paths are scored against ground truth.
@@ -90,12 +90,12 @@ SweepResult run_point(const SweepPoint& point, const measure::MeasurementPlan& m
   std::vector<double> errs;
   std::size_t planned = 0, missing = 0, defaulted = 0;
   for (std::uint64_t epoch = 1; epoch <= cycles; ++epoch) {
-    const agent::ClusterAgent::CycleReport rep = plane.run_cycle(epoch);
-    planned += rep.pairs_planned;
-    missing += rep.pairs_missing;
-    defaulted += rep.pairs_defaulted;
+    const agent::MeasureCycle::Result cycle = plane.run_cycle(epoch);
+    planned += cycle.report.agent_pairs_planned;
+    missing += cycle.report.agent_pairs_missing;
+    defaulted += cycle.report.pairs_defaulted;
 
-    place::ClusterState state(rep.view);
+    place::ClusterState state(cycle.view);
     place::GreedyPlacer greedy(place::RateModel::Hose);
     const place::Placement placement = greedy.place(app, state);
     double err_sum = 0.0;
@@ -104,7 +104,7 @@ SweepResult run_point(const SweepPoint& point, const measure::MeasurementPlan& m
         app, placement, [&](std::size_t m, std::size_t n, double) {
           const double truth = cloud.true_path_rate_bps(vms[m], vms[n], epoch);
           if (truth <= 0.0) return;
-          err_sum += std::abs(rep.view.rate_bps(m, n) - truth) / truth;
+          err_sum += std::abs(cycle.view.rate_bps(m, n) - truth) / truth;
           ++paths;
         });
     if (paths > 0) errs.push_back(err_sum / static_cast<double>(paths));

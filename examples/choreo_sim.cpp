@@ -413,18 +413,19 @@ int main(int argc, char** argv) {
     measure::RefreshPolicy refresh;
     forecast::ForecastOptions forecast;
     forecast.enabled = args.get_flag("forecast");
-    agent::AgentPlane plane(cloud, vms, plan, refresh, forecast, opts, model);
+    agent::MeasureCycle measurement(cloud, vms, plan, refresh, forecast);
+    agent::AgentPlane plane(measurement, opts);
     if (obsv.enabled()) plane.set_observer(obsv);
 
     const auto n_cycles = static_cast<std::uint64_t>(args.get_int("cycles"));
     Table t({"epoch", "planned", "probed", "missing", "defaulted", "reports",
              "wall (s)"});
     for (std::uint64_t epoch = 1; epoch <= n_cycles; ++epoch) {
-      const agent::ClusterAgent::CycleReport rep = plane.run_cycle(epoch);
-      t.add_row({std::to_string(epoch), std::to_string(rep.pairs_planned),
-                 std::to_string(rep.pairs_probed), std::to_string(rep.pairs_missing),
+      const agent::MeasureReport rep = plane.run_cycle(epoch).report;
+      t.add_row({std::to_string(epoch), std::to_string(rep.agent_pairs_planned),
+                 std::to_string(rep.pairs_probed), std::to_string(rep.agent_pairs_missing),
                  std::to_string(rep.pairs_defaulted),
-                 std::to_string(rep.reports_integrated), fmt(rep.wall_time_s, 1)});
+                 std::to_string(rep.agent_reports), fmt(rep.wall_time_s, 1)});
     }
     std::cout << t.to_string();
 

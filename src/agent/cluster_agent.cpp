@@ -1,102 +1,42 @@
 #include "agent/cluster_agent.h"
 
-#include <utility>
-
-#include "cloud/cloud.h"
-#include "measure/probe_scheduler.h"
 #include "util/require.h"
 
 namespace choreo::agent {
 
-ClusterAgent::ClusterAgent(cloud::Cloud& cloud, std::vector<std::size_t> vms,
-                           measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-                           forecast::ForecastOptions forecast, AgentOptions options,
-                           place::RateModel model)
-    : cloud_(cloud),
-      vms_(std::move(vms)),
-      mplan_(plan),
-      refresh_(refresh),
-      opts_(std::move(options)),
-      model_(model),
-      cache_(vms_.size()),
-      policy_(forecast),
-      agents_(vms_.size()) {
-  CHOREO_REQUIRE_MSG(vms_.size() >= 2, "agent plane needs at least two VMs");
-}
+ClusterAgent::ClusterAgent(MeasureCycle& measure)
+    : measure_(measure), agents_(measure.vms().size()) {}
 
-void ClusterAgent::reset_cache() { cache_ = measure::ViewCache(vms_.size()); }
-
-void ClusterAgent::begin_cycle(std::uint64_t epoch, std::uint64_t cycle,
-                               net::SimTransport& transport) {
-  const std::size_t n = vms_.size();
-  epoch_ = epoch;
-  known_before_ = cache_.measured_pairs();
-  fresh_.assign(n * n, 0);
-  cycle_reports_ = 0;
-
-  // Plan exactly like the in-process pipeline: through the forecast plane,
-  // which delegates verbatim to the fixed ViewCache rules when disabled.
-  cache_.resize(n);
-  plan_ = policy_.plan_refresh(cache_, epoch, refresh_);
-
-  // State re-sync for restarted agents: re-probe their whole outgoing row on
-  // top of the plan (whatever they measured before the crash is gone, and
-  // the cache may hold estimates the new incarnation never produced).
-  std::vector<std::uint8_t> planned(n * n, 0);
-  for (const auto& p : plan_.pairs) planned[p.src * n + p.dst] = 1;
-  for (std::uint32_t a = 0; a < agents_.size(); ++a) {
-    if (!agents_[a].resync_pending) continue;
-    agents_[a].resync_pending = false;
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == a || planned[a * n + dst]) continue;
-      planned[a * n + dst] = 1;
-      plan_.pairs.push_back(measure::ProbePair{a, dst});
-      ++plan_.stale;
+void ClusterAgent::send_requests(const measure::ProbeSchedule& schedule,
+                                 std::uint64_t epoch, std::uint64_t cycle,
+                                 net::SimTransport& transport) {
+  std::vector<proto::ProbeRequest> requests(agents_.size());
+  for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
+    for (const measure::ProbePair& p : schedule.rounds[r]) {
+      requests[p.src].probes.push_back(proto::ProbeDirective{
+          static_cast<std::uint32_t>(p.src), static_cast<std::uint32_t>(p.dst),
+          static_cast<std::uint32_t>(r)});
     }
   }
-
-  // Central conflict-free round assignment, so the distributed trains carry
-  // the same (epoch + round) snapshot keys the in-process scheduler uses.
-  rounds_ = 0;
-  wall_time_s_ = 0.0;
-  if (!plan_.pairs.empty()) {
-    const measure::ProbeSchedule schedule = measure::schedule_probes(n, plan_.pairs);
-    rounds_ = schedule.rounds.size();
-    wall_time_s_ = measure::measurement_wall_time_s(mplan_, rounds_);
-
-    std::vector<proto::ProbeRequest> requests(n);
-    for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
-      for (const measure::ProbePair& p : schedule.rounds[r]) {
-        proto::ProbeRequest& req = requests[p.src];
-        req.probes.push_back(proto::ProbeDirective{
-            static_cast<std::uint32_t>(p.src), static_cast<std::uint32_t>(p.dst),
-            static_cast<std::uint32_t>(r)});
-      }
-    }
-    for (std::uint32_t a = 0; a < n; ++a) {
-      if (requests[a].probes.empty()) continue;
-      requests[a].agent = a;
-      requests[a].epoch = epoch;
-      transport.send(kClusterEndpoint, endpoint_of(a), proto::encode(requests[a]), cycle);
-    }
+  for (std::uint32_t a = 0; a < requests.size(); ++a) {
+    if (requests[a].probes.empty()) continue;
+    requests[a].agent = a;
+    requests[a].epoch = epoch;
+    transport.send(kClusterEndpoint, endpoint_of(a), proto::encode(requests[a]), cycle);
   }
 }
 
-void ClusterAgent::integrate_sample(const proto::RateSample& sample) {
-  const std::size_t n = vms_.size();
-  if (sample.src >= n || sample.dst >= n || sample.src == sample.dst) return;
-  const measure::PairEstimate& have = cache_.at(sample.src, sample.dst);
-  // Monotone epoch guard: a sample only advances the pair's estimate. Replays
-  // of the same epoch and reordered older samples are no-ops, which is what
-  // makes duplicate delivery idempotent end to end.
-  if (have.valid() && sample.epoch <= have.epoch) {
-    ++stats_.samples_superseded;
-    return;
+void ClusterAgent::adopt_generation(std::uint32_t agent, std::uint32_t generation) {
+  AgentState& st = agents_[agent];
+  st.generation = generation;
+  st.seen_seqs.clear();
+  ++stats_.resyncs;
+  // Whatever the agent measured before the crash is gone, and the cache may
+  // hold estimates the new incarnation never produced: re-probe its whole
+  // outgoing row next cycle.
+  for (std::size_t dst = 0; dst < agents_.size(); ++dst) {
+    if (dst != agent) measure_.require_probe(agent, dst);
   }
-  cache_.store(sample.src, sample.dst, sample.rate_bps, sample.epoch);
-  policy_.observe(sample.src, sample.dst, sample.rate_bps, sample.epoch);
-  ++stats_.samples_integrated;
-  if (sample.epoch == epoch_) fresh_[sample.src * n + sample.dst] = 1;
 }
 
 void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
@@ -106,7 +46,6 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
       const proto::StatsReport& report = msg.stats_report;
       if (report.agent >= agents_.size()) return;
       AgentState& st = agents_[report.agent];
-      st.last_heard_cycle = cycle;
       if (report.generation < st.generation) {
         // A dead incarnation's report still in flight. Never integrate and
         // never ack: the restarted agent does not own this seq number, and
@@ -114,13 +53,8 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
         ++stats_.stale_generation_dropped;
         return;
       }
-      if (report.generation > st.generation) {
-        // Report outran the Hello: adopt the new incarnation implicitly.
-        st.generation = report.generation;
-        st.seen_seqs.clear();
-        st.resync_pending = true;
-        ++stats_.resyncs;
-      }
+      // A report that outran the Hello adopts the new incarnation implicitly.
+      if (report.generation > st.generation) adopt_generation(report.agent, report.generation);
       const proto::Ack ack{report.agent, report.generation, report.seq};
       if (!st.seen_seqs.insert(report.seq).second) {
         // Duplicate delivery (retransmit or transport copy): the ack may
@@ -130,9 +64,17 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
                        cycle);
         return;
       }
-      for (const proto::RateSample& s : report.samples) integrate_sample(s);
+      const std::size_t n = agents_.size();
+      for (const proto::RateSample& s : report.samples) {
+        if (s.src >= n || s.dst >= n || s.src == s.dst) continue;
+        if (measure_.integrate(s.src, s.dst, s.rate_bps, s.epoch)) {
+          ++stats_.samples_integrated;
+        } else {
+          ++stats_.samples_superseded;
+        }
+      }
       ++stats_.reports_integrated;
-      ++cycle_reports_;
+      measure_.count_report();
       transport.send(kClusterEndpoint, endpoint_of(report.agent), proto::encode(ack),
                      cycle);
       break;
@@ -141,14 +83,8 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
       const proto::Hello& hello = msg.hello;
       if (hello.agent >= agents_.size()) return;
       AgentState& st = agents_[hello.agent];
-      st.last_heard_cycle = cycle;
       ++stats_.hellos;
-      if (hello.generation > st.generation) {
-        st.generation = hello.generation;
-        st.seen_seqs.clear();
-        st.resync_pending = true;
-        ++stats_.resyncs;
-      }
+      if (hello.generation > st.generation) adopt_generation(hello.agent, hello.generation);
       transport.send(kClusterEndpoint, endpoint_of(hello.agent),
                      proto::encode(proto::HelloAck{hello.agent, st.generation}), cycle);
       break;
@@ -156,86 +92,6 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
     default:
       break;  // the controller ignores message types hosts own
   }
-}
-
-ClusterAgent::CycleReport ClusterAgent::end_cycle(std::uint64_t epoch) {
-  const std::size_t n = vms_.size();
-  CHOREO_REQUIRE_MSG(epoch == epoch_, "end_cycle epoch does not match begin_cycle");
-
-  CycleReport rep;
-
-  // The view is the cache's current (stale-or-partial) picture plus tenant
-  // topology; an empty probe plan makes refresh_cluster_view_with_plan probe
-  // nothing and just rebuild — the exact primitive we need here.
-  measure::RefreshResult rebuilt = measure::refresh_cluster_view_with_plan(
-      cloud_, vms_, mplan_, epoch, cache_, measure::RefreshPlan{});
-  rep.view = std::move(rebuilt.view);
-
-  // Forecast fill over the gaps: apply_to_view treats every pair NOT in the
-  // plan it is handed as unprobed, so handing it only the pairs that actually
-  // reported this cycle (in planned order) routes lost/late pairs through the
-  // predictor fill + uncertainty discount.
-  measure::RefreshPlan effective;
-  effective.pairs.reserve(plan_.pairs.size());
-  for (const measure::ProbePair& p : plan_.pairs) {
-    if (fresh_[p.src * n + p.dst]) effective.pairs.push_back(p);
-  }
-  policy_.apply_to_view(rep.view, cache_, effective, epoch);
-
-  // Never-measured pairs (their first-sweep report lost before any sample
-  // landed) leave zero-rate holes neither the cache nor the forecast can
-  // fill, and the placement layer rejects a view with them. Fill the holes
-  // with the most conservative rate measured so far (pessimistic: do not
-  // tempt the placer across a link it knows nothing about), or a nominal
-  // 1 Gbps when nothing has been measured at all. A lossless transport never
-  // produces a hole, so this cannot perturb the bit-identity oracle.
-  double fallback = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double r = rep.view.rate_bps(i, j);
-      if (i == j || r <= 0.0) continue;
-      if (fallback == 0.0 || r < fallback) fallback = r;
-    }
-  }
-  if (fallback == 0.0) fallback = 1e9;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || rep.view.rate_bps(i, j) > 0.0) continue;
-      rep.view.rate_bps(i, j) = fallback;
-      ++rep.pairs_defaulted;
-    }
-  }
-
-  rep.wall_time_s = wall_time_s_;
-  rep.rounds = rounds_;
-  rep.pairs_probed = effective.pairs.size();
-  rep.incremental = known_before_ > 0;
-  rep.never_measured = plan_.never_measured;
-  rep.stale = plan_.stale;
-  rep.volatile_pairs = plan_.volatile_pairs;
-  const forecast::PredictivePolicy::PlanStats& fs = policy_.last_plan();
-  rep.predictable_pairs = fs.predictable;
-  rep.unpredictable_pairs = fs.unpredictable + fs.warmup;
-  rep.changepoint_pairs = fs.changepoints;
-  rep.predicted_pairs = fs.predicted;
-  rep.forecast_full_sweep = fs.full_sweep;
-  rep.pairs_planned = plan_.pairs.size();
-  rep.pairs_missing = plan_.pairs.size() - effective.pairs.size();
-  rep.reports_integrated = cycle_reports_;
-
-  if (opts_.serve_snapshots) {
-    if (!service_) {
-      service_ = std::make_unique<serve::PlacementService>(rep.view, model_);
-    } else {
-      service_->publish_view(rep.view);
-    }
-  }
-  return rep;
-}
-
-std::uint64_t ClusterAgent::last_heard(std::uint32_t agent) const {
-  CHOREO_REQUIRE(agent < agents_.size());
-  return agents_[agent].last_heard_cycle;
 }
 
 std::uint32_t ClusterAgent::known_generation(std::uint32_t agent) const {

@@ -1,72 +1,29 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
+#include "agent/measure_cycle.h"
 #include "agent/options.h"
 #include "agent/proto.h"
-#include "forecast/predictive_policy.h"
-#include "measure/throughput_matrix.h"
+#include "measure/probe_scheduler.h"
 #include "measure/view_cache.h"
 #include "net/transport.h"
-#include "place/cluster.h"
-#include "serve/service.h"
-
-namespace choreo::cloud {
-class Cloud;
-}
 
 namespace choreo::agent {
 
-/// The controller half of the agent plane. Per measurement cycle it plans a
-/// refresh exactly like the in-process pipeline (through PredictivePolicy,
-/// which delegates to the fixed ViewCache rules when forecasting is off),
-/// schedules the planned pairs into conflict-free rounds, and fans the
-/// (pair, round) directives out to the owning host agents as ProbeRequests.
-/// Incoming StatsReports pass a (generation, seq) guard — stale generations
-/// are dropped, duplicates are re-acked but not re-integrated — and each
-/// sample lands in the ViewCache only if newer than the cached estimate, so
-/// delivery order, duplication, and late arrivals cannot corrupt the view.
-/// At cycle end the stale-or-partial view is rebuilt from the cache, gaps
-/// are routed through the forecast fill (apply_to_view over the pairs that
-/// actually reported), and the result is optionally published to an embedded
-/// PlacementService.
+/// The wire half of the agent plane's controller; the measurement cycle it
+/// serves (planning, integration, the view) is a MeasureCycle. Per cycle it
+/// fans the scheduled (pair, round) directives out to the owning host agents
+/// as ProbeRequests. Incoming StatsReports pass a (generation, seq) guard —
+/// stale generations are dropped, duplicates are re-acked but not
+/// re-integrated — and their samples go to MeasureCycle::integrate, whose
+/// monotone epoch guard keeps delivery order, duplication, and late arrivals
+/// from corrupting the view. An agent seen restarting gets its whole
+/// outgoing row re-probed in the next cycle (the state re-sync).
 class ClusterAgent {
  public:
-  /// What one cycle produced — the fields core::Choreo::MeasureReport needs,
-  /// plus agent-plane accounting.
-  struct CycleReport {
-    place::ClusterView view;
-    double wall_time_s = 0.0;
-    std::size_t pairs_probed = 0;  ///< planned pairs whose report arrived in-cycle
-    std::size_t rounds = 0;
-    bool incremental = false;
-
-    // RefreshPlan classification (why each planned pair qualified).
-    std::size_t never_measured = 0;
-    std::size_t stale = 0;
-    std::size_t volatile_pairs = 0;
-
-    // Forecast accounting, copied from PredictivePolicy::last_plan().
-    std::size_t predictable_pairs = 0;
-    std::size_t unpredictable_pairs = 0;
-    std::size_t changepoint_pairs = 0;
-    std::size_t predicted_pairs = 0;
-    bool forecast_full_sweep = false;
-
-    // Agent-plane accounting for this cycle.
-    std::size_t pairs_planned = 0;
-    std::size_t pairs_missing = 0;       ///< planned but no report landed in-cycle
-    std::size_t reports_integrated = 0;  ///< fresh StatsReports accepted this cycle
-    /// Never-measured pairs whose view entry was filled with the fallback
-    /// rate (first-sweep losses — no sample ever arrived, so neither the
-    /// cache nor the forecast has anything to offer). Always 0 on a lossless
-    /// transport.
-    std::size_t pairs_defaulted = 0;
-  };
-
   /// Cumulative controller-side counters across all cycles.
   struct Stats {
     std::uint64_t reports_integrated = 0;
@@ -78,75 +35,35 @@ class ClusterAgent {
     std::uint64_t resyncs = 0;  ///< generation bumps observed (crash recoveries)
   };
 
-  /// `vms` is the tenant fleet in view-index order (same contract as
-  /// core::Choreo): pair indices in plans, samples, and the cache are
-  /// positions in this vector.
-  ClusterAgent(cloud::Cloud& cloud, std::vector<std::size_t> vms,
-               measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-               forecast::ForecastOptions forecast, AgentOptions options,
-               place::RateModel model);
+  /// Serves `measure`, which must outlive this object; host agent i owns
+  /// the outgoing pairs of view index i.
+  explicit ClusterAgent(MeasureCycle& measure);
 
-  /// Plans the cycle's refresh and sends per-agent ProbeRequests. Agents the
-  /// controller saw restart (Hello with a newer generation) get their entire
-  /// outgoing rows re-probed on top of the plan — the state re-sync.
-  void begin_cycle(std::uint64_t epoch, std::uint64_t cycle, net::SimTransport& transport);
+  /// Sends each host agent its share of `schedule` as one ProbeRequest.
+  void send_requests(const measure::ProbeSchedule& schedule, std::uint64_t epoch,
+                     std::uint64_t cycle, net::SimTransport& transport);
 
   /// Handles one delivered message (StatsReport / Hello), sending acks
   /// through `transport`.
   void deliver(const proto::Message& msg, std::uint64_t cycle, net::SimTransport& transport);
 
-  /// Rebuilds the view from the cache, applies the forecast fill over the
-  /// pairs that reported, and publishes to the embedded PlacementService
-  /// when configured.
-  CycleReport end_cycle(std::uint64_t epoch);
-
-  /// Full-sweep support: forget every cached estimate (the non-incremental
-  /// measure path).
-  void reset_cache();
-
-  const measure::ViewCache& cache() const { return cache_; }
+  const measure::ViewCache& cache() const { return measure_.cache(); }
   const Stats& stats() const { return stats_; }
 
-  /// Last cycle at which any message from `agent` was delivered (0 = never).
-  std::uint64_t last_heard(std::uint32_t agent) const;
   /// The newest generation the controller has accepted from `agent`.
   std::uint32_t known_generation(std::uint32_t agent) const;
-
-  /// The embedded serving front end (nullptr unless options.serve_snapshots
-  /// and at least one cycle completed).
-  serve::PlacementService* service() { return service_.get(); }
 
  private:
   struct AgentState {
     std::uint32_t generation = 0;
-    std::uint64_t last_heard_cycle = 0;
     std::unordered_set<std::uint32_t> seen_seqs;  ///< of the current generation
-    bool resync_pending = false;
   };
 
-  void integrate_sample(const proto::RateSample& sample);
+  /// Adopts a newer incarnation of `agent` and queues its row re-sync.
+  void adopt_generation(std::uint32_t agent, std::uint32_t generation);
 
-  cloud::Cloud& cloud_;
-  std::vector<std::size_t> vms_;  ///< cloud::VmId per view index
-  measure::MeasurementPlan mplan_;
-  measure::RefreshPolicy refresh_;
-  AgentOptions opts_;
-  place::RateModel model_;
-
-  measure::ViewCache cache_;
-  forecast::PredictivePolicy policy_;
+  MeasureCycle& measure_;
   std::vector<AgentState> agents_;
-  std::unique_ptr<serve::PlacementService> service_;
-
-  // Current-cycle state (begin_cycle .. end_cycle).
-  std::uint64_t epoch_ = 0;
-  measure::RefreshPlan plan_;
-  std::vector<std::uint8_t> fresh_;  ///< pair integrated at epoch_ this cycle
-  std::size_t known_before_ = 0;
-  std::size_t rounds_ = 0;
-  double wall_time_s_ = 0.0;
-  std::size_t cycle_reports_ = 0;
-
   Stats stats_;
 };
 

@@ -19,7 +19,8 @@ inline net::SimTransport::Endpoint endpoint_of(std::uint32_t agent_id) {
 /// the configuration pinned bit-identical to the in-process measurement
 /// path; every knob here moves away from that oracle.
 struct AgentOptions {
-  /// Master switch: when false the controller measures in-process as before.
+  /// Master switch: when false the measurement cycle runs its probes
+  /// in-process instead of through host agents.
   bool enabled = false;
 
   /// Transport fault injection (loss / delay / duplicate), seed-keyed.
@@ -45,11 +46,6 @@ struct AgentOptions {
   double crash_rate = 0.0;
   std::uint64_t down_cycles = 2;
   std::uint64_t crash_seed = 1;
-
-  /// When true the ClusterAgent publishes every integrated view to an
-  /// embedded serve::PlacementService (epoch-swapped snapshots), so serving
-  /// threads can place against the latest stale-or-partial view.
-  bool serve_snapshots = false;
 };
 
 }  // namespace choreo::agent

@@ -23,19 +23,13 @@ std::uint64_t mix3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 }  // namespace
 
-AgentPlane::AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
-                       measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-                       forecast::ForecastOptions forecast, AgentOptions options,
-                       place::RateModel model)
-    : cloud_(cloud),
-      vms_(std::move(vms)),
-      mplan_(plan),
-      opts_(options),
-      transport_(vms_.size() + 1, options.transport),
-      cluster_(cloud, vms_, plan, refresh, forecast, options, model) {
-  CHOREO_REQUIRE_MSG(vms_.size() >= 2, "agent plane needs at least two VMs");
-  hosts_.reserve(vms_.size());
-  for (std::uint32_t i = 0; i < vms_.size(); ++i) {
+AgentPlane::AgentPlane(MeasureCycle& measure, AgentOptions options)
+    : measure_(measure),
+      opts_(std::move(options)),
+      transport_(measure.vms().size() + 1, opts_.transport),
+      cluster_(measure) {
+  hosts_.reserve(measure.vms().size());
+  for (std::uint32_t i = 0; i < measure.vms().size(); ++i) {
     hosts_.emplace_back(i, opts_,
                         [this](std::uint32_t src, std::uint32_t dst, std::uint32_t round,
                                std::uint64_t epoch) {
@@ -75,15 +69,17 @@ double AgentPlane::execute_probe(std::uint32_t src, std::uint32_t dst,
   // against the (epoch + r) cross-traffic snapshot, and the train itself is
   // keyed by (snapshot, src, dst) inside the cloud — so a distributed probe
   // reproduces the in-process estimate bit for bit.
+  cloud::Cloud& cloud = measure_.cloud();
+  const std::vector<cloud::VmId>& vms = measure_.vms();
+  const packetsim::TrainParams& train = measure_.plan().train;
   const std::uint64_t snap_epoch = epoch + round;
   auto it = snapshots_.find(snap_epoch);
   if (it == snapshots_.end()) {
-    it = snapshots_.emplace(snap_epoch, cloud_.traffic_snapshot(snap_epoch)).first;
+    it = snapshots_.emplace(snap_epoch, cloud.traffic_snapshot(snap_epoch)).first;
   }
-  const auto records =
-      cloud_.run_train_in_snapshot(vms_[src], vms_[dst], mplan_.train, it->second);
-  const double rtt = cloud_.ping_rtt_s(vms_[src], vms_[dst]);
-  return measure::estimate_train_throughput(records, mplan_.train, rtt).throughput_bps;
+  const auto records = cloud.run_train_in_snapshot(vms[src], vms[dst], train, it->second);
+  const double rtt = cloud.ping_rtt_s(vms[src], vms[dst]);
+  return measure::estimate_train_throughput(records, train, rtt).throughput_bps;
 }
 
 void AgentPlane::crash_agent(std::uint32_t id) {
@@ -91,7 +87,12 @@ void AgentPlane::crash_agent(std::uint32_t id) {
   hosts_[id].crash(cycle_);
 }
 
-ClusterAgent::CycleReport AgentPlane::run_cycle(std::uint64_t epoch) {
+MeasureCycle::Result AgentPlane::run_cycle(std::uint64_t epoch) {
+  return measure_.run(epoch, [this](const measure::ProbeSchedule& schedule,
+                                    std::uint64_t e) { run_probes(schedule, e); });
+}
+
+void AgentPlane::run_probes(const measure::ProbeSchedule& schedule, std::uint64_t epoch) {
   CHOREO_OBS_SPAN(span, obs_, "agent.cycle", "agent");
   ++cycle_;
   snapshots_.clear();
@@ -106,8 +107,8 @@ ClusterAgent::CycleReport AgentPlane::run_cycle(std::uint64_t epoch) {
     }
   }
 
-  // Phase 1: the controller plans and fans out ProbeRequests.
-  cluster_.begin_cycle(epoch, cycle_, transport_);
+  // Phase 1: the controller fans the schedule out as ProbeRequests.
+  cluster_.send_requests(schedule, epoch, cycle_, transport_);
 
   // Phase 2: each host drains its inbox (requests + acks from earlier
   // cycles), runs the directed probes, and ships reports/retransmits.
@@ -133,8 +134,6 @@ ClusterAgent::CycleReport AgentPlane::run_cycle(std::uint64_t epoch) {
     }
   }
 
-  ClusterAgent::CycleReport report = cluster_.end_cycle(epoch);
-
   // Scrape this cycle's activity as deltas of the conserved plane totals.
   const Stats now = stats();
   CHOREO_OBS_INC(handles_.cycles, obs_);
@@ -149,9 +148,8 @@ ClusterAgent::CycleReport AgentPlane::run_cycle(std::uint64_t epoch) {
                  now.transport.dropped - prev_.transport.dropped);
   span.arg("probes", static_cast<double>(now.probes_run - prev_.probes_run));
   span.arg("retransmits", static_cast<double>(now.retransmits - prev_.retransmits));
-  span.arg("pairs_missing", static_cast<double>(report.pairs_missing));
+  span.arg("pairs_missing", static_cast<double>(measure_.pending()));
   prev_ = now;
-  return report;
 }
 
 AgentPlane::Stats AgentPlane::stats() const {

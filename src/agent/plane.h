@@ -6,25 +6,27 @@
 
 #include "agent/cluster_agent.h"
 #include "agent/host_agent.h"
+#include "agent/measure_cycle.h"
 #include "agent/options.h"
 #include "cloud/cloud.h"
+#include "measure/probe_scheduler.h"
 #include "net/transport.h"
 #include "obs/observer.h"
-#include "place/cluster.h"
 
 namespace choreo::agent {
 
-/// The whole distributed measurement plane behind one controller: N host
-/// agents (one per VM), one ClusterAgent, and the SimTransport between
-/// them, advanced in lock-step cycles. One run_cycle(epoch) is the agent
-/// plane's replacement for one in-process measure_network(epoch) — it
-/// returns the same CycleReport shape, built from whatever reports survived
-/// the transport.
+/// The whole distributed measurement plane: N host agents (one per VM), one
+/// ClusterAgent, and the SimTransport between them, advanced in lock-step
+/// cycles. It is the agent-side probe runner of a MeasureCycle: where the
+/// in-process cycle runs its schedule through Cloud::run_train_round, the
+/// plane ships it to the host agents and integrates whatever reports
+/// survive the transport. Either way the cycle returns the same
+/// MeasureReport.
 ///
-/// Phase order within a cycle is fixed (crash draws, restarts + requests,
-/// host probe/report, controller integrate/ack, host ack intake), so a run
-/// is a pure function of (cloud, options, epoch sequence) — the property
-/// the replay-determinism tests pin.
+/// Phase order within a cycle is fixed (plan, crash draws, restarts +
+/// requests, host probe/report, controller integrate/ack, host ack intake,
+/// view rebuild), so a run is a pure function of (cloud, options, epoch
+/// sequence) — the property the replay-determinism tests pin.
 class AgentPlane {
  public:
   struct Stats {
@@ -38,14 +40,20 @@ class AgentPlane {
     std::uint64_t samples_deferred = 0;
   };
 
-  AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
-             measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-             forecast::ForecastOptions forecast, AgentOptions options,
-             place::RateModel model = place::RateModel::Hose);
+  /// Runs `measure`'s probes over the agents; `measure` must outlive the
+  /// plane.
+  AgentPlane(MeasureCycle& measure, AgentOptions options);
+  /// The hosts' probe executors and crash sinks hold the plane's address.
+  AgentPlane(const AgentPlane&) = delete;
+  AgentPlane& operator=(const AgentPlane&) = delete;
 
-  /// Runs one full measurement cycle at `epoch` and returns the controller's
-  /// (possibly stale-or-partial) view of the result.
-  ClusterAgent::CycleReport run_cycle(std::uint64_t epoch);
+  /// Runs one full measurement cycle at `epoch` through the agents and
+  /// returns the controller's (possibly stale-or-partial) view of the result.
+  MeasureCycle::Result run_cycle(std::uint64_t epoch);
+
+  /// The plane's half of one cycle: ships `schedule` to the host agents and
+  /// integrates the reports that make it back (a ScheduleRunner).
+  void run_probes(const measure::ProbeSchedule& schedule, std::uint64_t epoch);
 
   /// Crashes one agent immediately (test/fault injection entry point); the
   /// agent restarts options.down_cycles cycles later with a new generation.
@@ -57,9 +65,6 @@ class AgentPlane {
   const HostAgent& host(std::uint32_t id) const { return hosts_[id]; }
   const net::SimTransport& transport() const { return transport_; }
   const AgentOptions& options() const { return opts_; }
-
-  /// Forget every cached pair estimate (the non-incremental measure path).
-  void reset_cache() { cluster_.reset_cache(); }
 
   /// Aggregated counters across the transport, the controller, all live
   /// host-agent incarnations, and the durable fold of every crashed
@@ -76,9 +81,7 @@ class AgentPlane {
   double execute_probe(std::uint32_t src, std::uint32_t dst, std::uint32_t round,
                        std::uint64_t epoch);
 
-  cloud::Cloud& cloud_;
-  std::vector<std::size_t> vms_;
-  measure::MeasurementPlan mplan_;
+  MeasureCycle& measure_;
   AgentOptions opts_;
 
   net::SimTransport transport_;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "agent/measure_cycle.h"
 #include "agent/options.h"
 #include "cloud/cloud.h"
 #include "forecast/predictive_policy.h"
@@ -29,10 +30,6 @@ struct ChoreoConfig {
   /// measurement cycle re-probes (never measured / older than max_age_epochs
   /// / volatile per the §2.1 predictability signal).
   measure::RefreshPolicy refresh;
-  /// When true (default), measure_network() after the first full sweep only
-  /// re-probes the pairs the refresh policy flags; when false every cycle
-  /// re-measures the entire matrix from scratch.
-  bool incremental_refresh = true;
   /// Forecast plane (§2.1 predictability, applied online): per-pair rate
   /// history, competing predictors with online error tracking, and
   /// predictability-score-driven refresh planning in place of the fixed
@@ -53,12 +50,12 @@ struct ChoreoConfig {
   /// instead of packet-train measurements (isolates placement quality from
   /// measurement error in ablations).
   bool use_measured_view = true;
-  /// Distributed agent plane: when agents.enabled, measure_network() runs a
-  /// host-agent/cluster-agent cycle over a SimTransport instead of probing
-  /// in-process. With the default (lossless, zero-delay) transport the two
-  /// paths are bit-identical (pinned by test_agent); with fault injection
-  /// the controller places against a stale-or-partial view with forecast
-  /// fill over the gaps. Ignored when use_measured_view is false.
+  /// Distributed agent plane: when agents.enabled, the measurement cycle's
+  /// probes run on host agents behind a SimTransport instead of in-process.
+  /// With the default (lossless, zero-delay) transport the two are
+  /// bit-identical (pinned by test_agent); with fault injection the
+  /// controller places against a stale-or-partial view with forecast fill
+  /// over the gaps. Ignored when use_measured_view is false.
   agent::AgentOptions agents;
   /// Observability plane attachment (src/obs): a null observer (the
   /// default) keeps every instrumentation site a no-op branch. Multi-tenant
@@ -91,47 +88,14 @@ class Choreo {
   const std::vector<cloud::VmId>& vms() const { return vms_; }
   const ChoreoConfig& config() const { return config_; }
 
-  /// What one measurement cycle cost: the §4.1 overhead accounting the
-  /// benches track, now with probe counts so incremental refreshes are
-  /// visible.
-  struct MeasureReport {
-    /// Modeled wall-clock on the real cloud ("less than three minutes for a
-    /// ten-node topology", §4.1); 0 when nothing was probed.
-    double wall_time_s = 0.0;
-    std::size_t pairs_probed = 0;  ///< n(n-1) on a full sweep, fewer after
-    std::size_t rounds = 0;        ///< conflict-free concurrent-train rounds
-    /// True when this cycle re-used cached estimates (probed a strict subset).
-    bool incremental = false;
-
-    // Why each probed pair qualified (the RefreshPlan counts).
-    std::size_t never_measured = 0;  ///< includes pairs of newly allocated VMs
-    std::size_t stale = 0;           ///< older than refresh.max_age_epochs
-    std::size_t volatile_pairs = 0;  ///< fixed policy's two-sample volatility rule
-
-    // Forecast-plane accounting (all zero while config.forecast is disabled).
-    std::size_t predictable_pairs = 0;    ///< skipped: forecasts trusted this cycle
-    /// Probed because the forecast cannot be trusted: the budget's
-    /// worst-predicted picks plus pairs still warming up their error track.
-    std::size_t unpredictable_pairs = 0;
-    std::size_t changepoint_pairs = 0;    ///< probed: CUSUM flagged a regime shift
-    std::size_t predicted_pairs = 0;      ///< view entries filled from forecasts
-    bool forecast_full_sweep = false;     ///< regime alarm forced probing everything
-
-    // Agent-plane accounting (all zero while config.agents is disabled; on
-    // the lossless zero-delay oracle transport, planned == probed and
-    // missing == 0, keeping every shared field above bit-identical to the
-    // in-process path).
-    std::size_t agent_pairs_planned = 0;  ///< pairs the controller requested
-    std::size_t agent_pairs_missing = 0;  ///< planned pairs with no in-cycle report
-    std::size_t agent_reports = 0;        ///< fresh StatsReports integrated
-  };
+  /// What one measurement cycle cost (agent::MeasureCycle's report).
+  using MeasureReport = agent::MeasureReport;
 
   /// Runs the measurement phase (§4.1): packet trains scheduled into
   /// conflict-free rounds (plus traceroute clustering), refreshing the
   /// cluster view placements use. The first call probes every ordered pair;
-  /// later calls re-probe only stale/volatile pairs unless
-  /// config().incremental_refresh is false, and swap the refreshed view into
-  /// the existing placement state in place (residual occupancy is kept;
+  /// later calls re-probe only stale/volatile pairs, and swap the refreshed
+  /// view into the existing placement state in place (residual occupancy is kept;
   /// only the engine's static rate indexes are rebuilt — no replay of
   /// running applications). `epoch` selects the cloud's
   /// cross-traffic snapshot — the same epoch always observes the same
@@ -144,9 +108,9 @@ class Choreo {
   /// Detailed accounting of the most recent measure_network() cycle.
   const MeasureReport& last_measure() const { return last_measure_; }
 
-  /// The distributed measurement plane, or nullptr until the first
-  /// measure_network() with config.agents.enabled (and never otherwise).
-  /// Exposes transport/controller/host counters for benches and tests.
+  /// The distributed measurement plane, or nullptr unless config.agents is
+  /// enabled (and config.use_measured_view set). Exposes
+  /// transport/controller/host counters for benches and tests.
   const agent::AgentPlane* agent_plane() const { return plane_.get(); }
 
   /// The tenant's current knowledge of its cluster.
@@ -236,18 +200,17 @@ class Choreo {
   std::map<AppHandle, RunningApp> running_;
   AppHandle next_handle_ = 1;
   bool measured_ = false;
-  /// Epoch-stamped pair estimates carried across measurement cycles — what
-  /// makes measure_network() incremental after the first sweep.
-  measure::ViewCache cache_;
-  /// The forecast plane: refresh planning (predictive or, when disabled,
-  /// delegating verbatim to config.refresh), per-pair history, and the
-  /// prediction/discount view rewrite.
-  forecast::PredictivePolicy policy_;
-  /// The distributed measurement plane (config.agents); created lazily on
-  /// the first agent-path measure_network(). When active it owns the
-  /// ViewCache/PredictivePolicy lifecycle and cache_/policy_ above are
-  /// bypassed.
+  /// The measurement controller: the epoch-stamped pair cache carried
+  /// across cycles (what makes measure_network() incremental after the
+  /// first sweep) and the forecast plane's planning and view rewrite. Held
+  /// out of line: embedded, it measured ~5% slower perfbench session-agents
+  /// steps, placement steps included (4-core x86-64 host).
+  std::unique_ptr<agent::MeasureCycle> measure_;
+  /// The distributed measurement plane (config.agents), running measure_'s
+  /// probes through host agents; null when probing in-process.
   std::unique_ptr<agent::AgentPlane> plane_;
+  /// measure_'s probe runner: the plane's, or empty (in-process).
+  agent::ScheduleRunner run_probes_;
   MeasureReport last_measure_;
 
   /// obs registry handles, resolved once at construction (inert when

@@ -42,6 +42,28 @@ double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds) 
              (train_duration_s(plan.train) + plan.round_overhead_s);
 }
 
+void run_probe_schedule(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+                        const ProbeSchedule& schedule, const MeasurementPlan& plan,
+                        std::uint64_t epoch,
+                        const std::function<void(const ProbePair&, double)>& on_rate) {
+  std::vector<std::pair<cloud::VmId, cloud::VmId>> vm_pairs;
+  for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
+    const auto& round = schedule.rounds[r];
+    // All trains of the round observe the same background realization; the
+    // snapshot is computed once and shared across the round's workers.
+    const cloud::Cloud::TrafficSnapshot snapshot = cloud.traffic_snapshot(epoch + r);
+    vm_pairs.clear();
+    for (const ProbePair& p : round) vm_pairs.emplace_back(vms[p.src], vms[p.dst]);
+    const auto records =
+        cloud.run_train_round(vm_pairs, plan.train, snapshot, plan.workers);
+    for (std::size_t k = 0; k < round.size(); ++k) {
+      const ProbePair& p = round[k];
+      const double rtt = cloud.ping_rtt_s(vms[p.src], vms[p.dst]);
+      on_rate(p, estimate_train_throughput(records[k], plan.train, rtt).throughput_bps);
+    }
+  }
+}
+
 PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                                const std::vector<ProbePair>& pairs,
                                const MeasurementPlan& plan, std::uint64_t epoch) {
@@ -60,23 +82,9 @@ PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmI
   }
 
   const ProbeSchedule schedule = schedule_probes(n, pairs);
-  for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
-    const auto& round = schedule.rounds[r];
-    // All trains of the round observe the same background realization; the
-    // snapshot is computed once and shared across the round's workers.
-    const cloud::Cloud::TrafficSnapshot snapshot = cloud.traffic_snapshot(epoch + r);
-    std::vector<std::pair<cloud::VmId, cloud::VmId>> vm_pairs;
-    vm_pairs.reserve(round.size());
-    for (const ProbePair& p : round) vm_pairs.emplace_back(vms[p.src], vms[p.dst]);
-    const auto records =
-        cloud.run_train_round(vm_pairs, plan.train, snapshot, plan.workers);
-    for (std::size_t k = 0; k < round.size(); ++k) {
-      const ProbePair& p = round[k];
-      const double rtt = cloud.ping_rtt_s(vms[p.src], vms[p.dst]);
-      const TrainEstimate est = estimate_train_throughput(records[k], plan.train, rtt);
-      out.rate_bps[position.at(p.src * n + p.dst)] = est.throughput_bps;
-    }
-  }
+  run_probe_schedule(cloud, vms, schedule, plan, epoch, [&](const ProbePair& p, double r) {
+    out.rate_bps[position.at(p.src * n + p.dst)] = r;
+  });
   out.rounds = schedule.rounds.size();
   out.wall_time_s = measurement_wall_time_s(plan, out.rounds);
   return out;
@@ -133,12 +141,22 @@ RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
     out.wall_time_s = probed.wall_time_s;
   }
 
-  out.view.rate_bps = cache.rates();
-  out.view.cross_traffic = DoubleMatrix(n, n, 0.0);
-  out.view.pair_epoch = cache.epochs();
-  out.view.view_epoch = epoch;
-  fill_tenant_topology(out.view, cloud, vms);
+  out.view = cached_cluster_view(cloud, vms, cache, epoch);
   return out;
+}
+
+place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+                                       const std::vector<cloud::VmId>& vms,
+                                       const ViewCache& cache, std::uint64_t epoch) {
+  const std::size_t n = vms.size();
+  CHOREO_REQUIRE(cache.vm_count() == n);
+  place::ClusterView view;
+  view.rate_bps = cache.rates();
+  view.cross_traffic = DoubleMatrix(n, n, 0.0);
+  view.pair_epoch = cache.epochs();
+  view.view_epoch = epoch;
+  fill_tenant_topology(view, cloud, vms);
+  return view;
 }
 
 place::ClusterView measured_cluster_view(cloud::Cloud& cloud,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cloud/cloud.h"
@@ -53,6 +54,14 @@ struct PairsResult {
   std::size_t rounds = 0;
 };
 
+/// Runs every round of `schedule`: round r's trains run concurrently (on
+/// plan.workers threads) against the epoch + r cross-traffic snapshot, and
+/// each pair's estimated throughput is handed to `on_rate`, round by round.
+void run_probe_schedule(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+                        const ProbeSchedule& schedule, const MeasurementPlan& plan,
+                        std::uint64_t epoch,
+                        const std::function<void(const ProbePair&, double)>& on_rate);
+
 /// Probes exactly `pairs`: schedules them into conflict-free rounds, runs
 /// each round's trains concurrently against a per-round cross-traffic
 /// snapshot (round r uses epoch + r), and estimates throughput per pair.
@@ -99,6 +108,13 @@ RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
                                              const MeasurementPlan& plan,
                                              std::uint64_t epoch, ViewCache& cache,
                                              RefreshPlan probe_plan);
+
+/// The tenant's ClusterView as `cache` knows it at `epoch`: the cached rates
+/// with their per-pair provenance, plus traceroute topology (hop counts,
+/// co-location groups) and CPU capacities. Never-measured pairs read 0.
+place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+                                       const std::vector<cloud::VmId>& vms,
+                                       const ViewCache& cache, std::uint64_t epoch);
 
 /// Builds the tenant's ClusterView from measurements alone: packet-train
 /// rates, traceroute co-location groups (hop count 1 => same host), CPU

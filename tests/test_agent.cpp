@@ -2,12 +2,14 @@
 // every message and rejects corrupt bytes; (b) the SimTransport is
 // deterministic — lossless zero-delay delivery is exact and in order, fault
 // schedules replay bit-for-bit under the same seed; (c) the HostAgent's
-// report budget packs and defers samples as configured; and (d) — the PR's
-// oracle — with the transport configured lossless and zero-delay, the
-// agent-plane measurement path is bit-identical to the in-process path:
-// same MeasureReports, same rate/provenance matrices, same placements, and
-// same SessionLogs over a randomized differential corpus, with forecasting
-// both off and on.
+// report budget packs and defers samples as configured; and (d) the
+// oracle: both measurement modes run the same MeasureCycle and differ only
+// in who runs its probes, so with the transport lossless and zero-delay the
+// agents' runner is bit-identical to the in-process one — same
+// MeasureReports, same rate/provenance matrices, same placements, and same
+// SessionLogs over a randomized differential corpus (repeated epochs, 1 or
+// 3 measurement workers, two provider profiles, 5 and 6 VMs), with
+// forecasting both off and on.
 
 #include <gtest/gtest.h>
 
@@ -319,79 +321,102 @@ core::ChoreoConfig cheap_measure_config(bool forecast) {
   return config;
 }
 
+// One lossless agent-path Choreo against one in-process Choreo over the
+// same cloud and the same cycle sequence: reports, matrices, and placements
+// must agree bit for bit at every step. Repeated epochs re-measure an epoch
+// the cache already holds: every pair planned again must be probed again,
+// through the agents as in-process.
+void expect_lossless_cycles_identical(const cloud::ProviderProfile& profile,
+                                      bool forecast, std::size_t n, unsigned workers,
+                                      std::uint64_t seed) {
+  const std::vector<std::uint64_t> epochs = {1, 2, 3, 3, 3, 4, 4, 5, 6, 7, 7, 8};
+  cloud::Cloud c_sys(profile, seed);
+  cloud::Cloud c_ora(profile, seed);
+  const auto vms_sys = c_sys.allocate_vms(n);
+  const auto vms_ora = c_ora.allocate_vms(n);
+
+  core::ChoreoConfig config = cheap_measure_config(forecast);
+  config.plan.workers = workers;
+  core::ChoreoConfig agents_config = config;
+  agents_config.agents.enabled = true;  // default transport: lossless
+
+  core::Choreo sys(c_sys, vms_sys, agents_config);
+  core::Choreo ora(c_ora, vms_ora, config);
+
+  Rng app_rng(seed * 1000 + n);
+  const workload::GeneratorConfig gen = small_apps();
+
+  for (std::size_t step = 0; step < epochs.size(); ++step) {
+    const std::uint64_t epoch = epochs[step];
+    SCOPED_TRACE("step " + std::to_string(step) + " epoch " + std::to_string(epoch));
+    sys.measure_network(epoch);
+    ora.measure_network(epoch);
+
+    const core::Choreo::MeasureReport& a = sys.last_measure();
+    const core::Choreo::MeasureReport& b = ora.last_measure();
+    ASSERT_EQ(a.pairs_probed, b.pairs_probed);
+    ASSERT_EQ(a.rounds, b.rounds);
+    ASSERT_EQ(a.wall_time_s, b.wall_time_s);
+    ASSERT_EQ(a.incremental, b.incremental);
+    ASSERT_EQ(a.never_measured, b.never_measured);
+    ASSERT_EQ(a.stale, b.stale);
+    ASSERT_EQ(a.volatile_pairs, b.volatile_pairs);
+    ASSERT_EQ(a.predictable_pairs, b.predictable_pairs);
+    ASSERT_EQ(a.unpredictable_pairs, b.unpredictable_pairs);
+    ASSERT_EQ(a.changepoint_pairs, b.changepoint_pairs);
+    ASSERT_EQ(a.predicted_pairs, b.predicted_pairs);
+    ASSERT_EQ(a.forecast_full_sweep, b.forecast_full_sweep);
+    // On the oracle transport nothing is ever missing.
+    ASSERT_EQ(a.agent_pairs_missing, 0u);
+    ASSERT_EQ(a.agent_pairs_planned, a.pairs_probed);
+
+    // Matrices: bit-for-bit, including per-pair provenance.
+    ASSERT_TRUE(sys.view().rate_bps == ora.view().rate_bps);
+    ASSERT_TRUE(sys.view().pair_epoch == ora.view().pair_epoch);
+
+    if (step % 2 == 0) {
+      const place::Application app = workload::generate_app(app_rng, gen);
+      place::Placement p_sys, p_ora;
+      try {
+        p_sys = sys.placement_of(sys.place_application(app));
+      } catch (const place::PlacementError&) {
+      }
+      try {
+        p_ora = ora.placement_of(ora.place_application(app));
+      } catch (const place::PlacementError&) {
+      }
+      ASSERT_EQ(p_sys.machine_of_task, p_ora.machine_of_task);
+    }
+  }
+
+  // The distributed plane really carried the data: every report crossed
+  // the wire, none were lost, dropped, or retried.
+  const AgentPlane* plane = sys.agent_plane();
+  ASSERT_NE(plane, nullptr);
+  EXPECT_GT(plane->stats().reports_sent, 0u);
+  EXPECT_GT(plane->stats().probes_run, 0u);
+  EXPECT_EQ(plane->stats().retransmits, 0u);
+  EXPECT_EQ(plane->stats().transport.dropped, 0u);
+  EXPECT_EQ(plane->stats().cluster.duplicates_dropped, 0u);
+  EXPECT_EQ(plane->stats().samples_deferred, 0u);
+}
+
 TEST(AgentDifferential, LosslessCyclesBitIdenticalToInProcessMeasurement) {
+  const std::pair<const char*, cloud::ProviderProfile> profiles[] = {
+      {"ec2", cloud::ec2_2013()}, {"rackspace", cloud::rackspace()}};
   for (const bool forecast : {false, true}) {
-    for (const std::uint64_t seed : {11u, 23u, 37u}) {
-      SCOPED_TRACE(std::string("forecast=") + (forecast ? "on" : "off") +
-                   " seed=" + std::to_string(seed));
-      const std::size_t n = 5;
-      cloud::Cloud c_sys(cloud::ec2_2013(), seed);
-      cloud::Cloud c_ora(cloud::ec2_2013(), seed);
-      const auto vms_sys = c_sys.allocate_vms(n);
-      const auto vms_ora = c_ora.allocate_vms(n);
-
-      core::ChoreoConfig config = cheap_measure_config(forecast);
-      core::ChoreoConfig agents_config = config;
-      agents_config.agents.enabled = true;  // default transport: lossless
-
-      core::Choreo sys(c_sys, vms_sys, agents_config);
-      core::Choreo ora(c_ora, vms_ora, config);
-
-      Rng app_rng(seed * 1000 + n);
-      const workload::GeneratorConfig gen = small_apps();
-
-      for (std::uint64_t epoch = 1; epoch <= 10; ++epoch) {
-        sys.measure_network(epoch);
-        ora.measure_network(epoch);
-
-        const core::Choreo::MeasureReport& a = sys.last_measure();
-        const core::Choreo::MeasureReport& b = ora.last_measure();
-        ASSERT_EQ(a.pairs_probed, b.pairs_probed) << "epoch " << epoch;
-        ASSERT_EQ(a.rounds, b.rounds) << "epoch " << epoch;
-        ASSERT_EQ(a.wall_time_s, b.wall_time_s) << "epoch " << epoch;
-        ASSERT_EQ(a.incremental, b.incremental) << "epoch " << epoch;
-        ASSERT_EQ(a.never_measured, b.never_measured) << "epoch " << epoch;
-        ASSERT_EQ(a.stale, b.stale) << "epoch " << epoch;
-        ASSERT_EQ(a.volatile_pairs, b.volatile_pairs) << "epoch " << epoch;
-        ASSERT_EQ(a.predictable_pairs, b.predictable_pairs) << "epoch " << epoch;
-        ASSERT_EQ(a.unpredictable_pairs, b.unpredictable_pairs) << "epoch " << epoch;
-        ASSERT_EQ(a.changepoint_pairs, b.changepoint_pairs) << "epoch " << epoch;
-        ASSERT_EQ(a.predicted_pairs, b.predicted_pairs) << "epoch " << epoch;
-        ASSERT_EQ(a.forecast_full_sweep, b.forecast_full_sweep) << "epoch " << epoch;
-        // On the oracle transport nothing is ever missing.
-        ASSERT_EQ(a.agent_pairs_missing, 0u) << "epoch " << epoch;
-        ASSERT_EQ(a.agent_pairs_planned, a.pairs_probed) << "epoch " << epoch;
-
-        // Matrices: bit-for-bit, including per-pair provenance.
-        ASSERT_TRUE(sys.view().rate_bps == ora.view().rate_bps) << "epoch " << epoch;
-        ASSERT_TRUE(sys.view().pair_epoch == ora.view().pair_epoch)
-            << "epoch " << epoch;
-
-        if (epoch % 2 == 1) {
-          const place::Application app = workload::generate_app(app_rng, gen);
-          place::Placement p_sys, p_ora;
-          try {
-            p_sys = sys.placement_of(sys.place_application(app));
-          } catch (const place::PlacementError&) {
+    for (const auto& [name, profile] : profiles) {
+      for (const std::size_t n : {5u, 6u}) {
+        for (const unsigned workers : {1u, 3u}) {
+          for (const std::uint64_t seed : {11u, 23u, 37u}) {
+            SCOPED_TRACE(std::string("forecast=") + (forecast ? "on" : "off") +
+                         " profile=" + name + " n=" + std::to_string(n) +
+                         " workers=" + std::to_string(workers) +
+                         " seed=" + std::to_string(seed));
+            expect_lossless_cycles_identical(profile, forecast, n, workers, seed);
           }
-          try {
-            p_ora = ora.placement_of(ora.place_application(app));
-          } catch (const place::PlacementError&) {
-          }
-          ASSERT_EQ(p_sys.machine_of_task, p_ora.machine_of_task) << "epoch " << epoch;
         }
       }
-
-      // The distributed plane really carried the data: every report crossed
-      // the wire, none were lost, dropped, or retried.
-      const AgentPlane* plane = sys.agent_plane();
-      ASSERT_NE(plane, nullptr);
-      EXPECT_GT(plane->stats().reports_sent, 0u);
-      EXPECT_GT(plane->stats().probes_run, 0u);
-      EXPECT_EQ(plane->stats().retransmits, 0u);
-      EXPECT_EQ(plane->stats().transport.dropped, 0u);
-      EXPECT_EQ(plane->stats().cluster.duplicates_dropped, 0u);
-      EXPECT_EQ(plane->stats().samples_deferred, 0u);
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include "agent/cluster_agent.h"
 #include "agent/host_agent.h"
+#include "agent/measure_cycle.h"
 #include "agent/options.h"
 #include "agent/plane.h"
 #include "agent/proto.h"
@@ -168,9 +169,9 @@ TEST(AgentFaults, FaultyRunsReplayBitForBit) {
     cloud::Cloud cloud(cloud::ec2_2013(), 21);
     const auto vms = cloud.allocate_vms(6);
     core::ChoreoConfig config = cheap_config();
-    AgentPlane plane(cloud, vms, config.plan, config.refresh, config.forecast,
-                     faulty_options(seed));
-    std::vector<ClusterAgent::CycleReport> reports;
+    MeasureCycle measurement(cloud, vms, config.plan, config.refresh, config.forecast);
+    AgentPlane plane(measurement, faulty_options(seed));
+    std::vector<MeasureCycle::Result> reports;
     for (std::uint64_t epoch = 1; epoch <= 12; ++epoch) {
       reports.push_back(plane.run_cycle(epoch));
     }
@@ -184,10 +185,12 @@ TEST(AgentFaults, FaultyRunsReplayBitForBit) {
     SCOPED_TRACE("cycle " + std::to_string(i + 1));
     ASSERT_TRUE(reports_a[i].view.rate_bps == reports_b[i].view.rate_bps);
     ASSERT_TRUE(reports_a[i].view.pair_epoch == reports_b[i].view.pair_epoch);
-    ASSERT_EQ(reports_a[i].pairs_planned, reports_b[i].pairs_planned);
-    ASSERT_EQ(reports_a[i].pairs_missing, reports_b[i].pairs_missing);
-    ASSERT_EQ(reports_a[i].pairs_probed, reports_b[i].pairs_probed);
-    ASSERT_EQ(reports_a[i].reports_integrated, reports_b[i].reports_integrated);
+    const MeasureReport& a = reports_a[i].report;
+    const MeasureReport& b = reports_b[i].report;
+    ASSERT_EQ(a.agent_pairs_planned, b.agent_pairs_planned);
+    ASSERT_EQ(a.agent_pairs_missing, b.agent_pairs_missing);
+    ASSERT_EQ(a.pairs_probed, b.pairs_probed);
+    ASSERT_EQ(a.agent_reports, b.agent_reports);
   }
   EXPECT_EQ(stats_a.transport.sent, stats_b.transport.sent);
   EXPECT_EQ(stats_a.transport.dropped, stats_b.transport.dropped);
@@ -233,29 +236,30 @@ TEST(ClusterAgentGuards, DuplicateReportDeliveryIsIdempotent) {
   cloud::Cloud cloud(cloud::ec2_2013(), 4);
   const auto vms = cloud.allocate_vms(3);
   core::ChoreoConfig config = cheap_config();
-  AgentOptions opts;
-  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast, opts,
-                       place::RateModel::Hose);
+  MeasureCycle measurement(cloud, vms, config.plan, config.refresh, config.forecast);
+  ClusterAgent cluster(measurement);
   SimTransport t(vms.size() + 1, {});
 
-  cluster.begin_cycle(1, 1, t);
-  const proto::Message msg =
-      report_msg(0, 0, 0, {{0, 1, 1, 5e8}, {0, 2, 1, 7e8}});
+  // The deliveries stand in for the agents' probe runner of cycle 1.
+  const auto deliveries = [&](const measure::ProbeSchedule&, std::uint64_t) {
+    const proto::Message msg = report_msg(0, 0, 0, {{0, 1, 1, 5e8}, {0, 2, 1, 7e8}});
 
-  cluster.deliver(msg, 1, t);
-  ASSERT_EQ(cluster.stats().reports_integrated, 1u);
-  ASSERT_EQ(cluster.stats().samples_integrated, 2u);
-  const double rate_01 = cluster.cache().at(0, 1).rate_bps;
+    cluster.deliver(msg, 1, t);
+    ASSERT_EQ(cluster.stats().reports_integrated, 1u);
+    ASSERT_EQ(cluster.stats().samples_integrated, 2u);
+    const double rate_01 = cluster.cache().at(0, 1).rate_bps;
 
-  // Same (generation, seq) again — a retransmit or a transport duplicate.
-  // Nothing is re-integrated, nothing in the cache moves, but the ack is
-  // re-sent in case the first one was lost.
-  cluster.deliver(msg, 2, t);
-  cluster.deliver(msg, 3, t);
-  EXPECT_EQ(cluster.stats().reports_integrated, 1u);
-  EXPECT_EQ(cluster.stats().samples_integrated, 2u);
-  EXPECT_EQ(cluster.stats().duplicates_dropped, 2u);
-  EXPECT_EQ(cluster.cache().at(0, 1).rate_bps, rate_01);
+    // Same (generation, seq) again — a retransmit or a transport duplicate.
+    // Nothing is re-integrated, nothing in the cache moves, but the ack is
+    // re-sent in case the first one was lost.
+    cluster.deliver(msg, 2, t);
+    cluster.deliver(msg, 3, t);
+    EXPECT_EQ(cluster.stats().reports_integrated, 1u);
+    EXPECT_EQ(cluster.stats().samples_integrated, 2u);
+    EXPECT_EQ(cluster.stats().duplicates_dropped, 2u);
+    EXPECT_EQ(cluster.cache().at(0, 1).rate_bps, rate_01);
+  };
+  const MeasureReport rep = measurement.run(1, deliveries).report;
 
   std::size_t acks = 0;
   for (const proto::Message& m : decode_all(t, endpoint_of(0), 3)) {
@@ -266,8 +270,7 @@ TEST(ClusterAgentGuards, DuplicateReportDeliveryIsIdempotent) {
   }
   EXPECT_EQ(acks, 3u);  // one per delivery, duplicates included
 
-  const ClusterAgent::CycleReport rep = cluster.end_cycle(1);
-  EXPECT_EQ(rep.reports_integrated, 1u);
+  EXPECT_EQ(rep.agent_reports, 1u);
   EXPECT_EQ(rep.pairs_probed, 2u);
 }
 
@@ -275,12 +278,9 @@ TEST(ClusterAgentGuards, StaleGenerationReportsAreDroppedWithoutAck) {
   cloud::Cloud cloud(cloud::ec2_2013(), 4);
   const auto vms = cloud.allocate_vms(3);
   core::ChoreoConfig config = cheap_config();
-  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast,
-                       AgentOptions{}, place::RateModel::Hose);
+  MeasureCycle measurement(cloud, vms, config.plan, config.refresh, config.forecast);
+  ClusterAgent cluster(measurement);
   SimTransport t(vms.size() + 1, {});
-
-  cluster.begin_cycle(1, 1, t);
-  t.receive(endpoint_of(0), 1);  // drain the probe request
 
   // The agent restarts: Hello announces generation 1.
   proto::Message hello;
@@ -314,11 +314,10 @@ TEST(ClusterAgentGuards, ReportFromNewerGenerationAdoptsItImplicitly) {
   cloud::Cloud cloud(cloud::ec2_2013(), 4);
   const auto vms = cloud.allocate_vms(3);
   core::ChoreoConfig config = cheap_config();
-  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast,
-                       AgentOptions{}, place::RateModel::Hose);
+  MeasureCycle measurement(cloud, vms, config.plan, config.refresh, config.forecast);
+  ClusterAgent cluster(measurement);
   SimTransport t(vms.size() + 1, {});
 
-  cluster.begin_cycle(1, 1, t);
   // The restarted agent's report outruns its Hello (reordering): the
   // controller adopts the new generation from the report itself and
   // schedules the resync.
@@ -394,11 +393,12 @@ TEST(AgentFaults, CrashRestartResyncReprobesTheAgentsRow) {
   AgentOptions opts;
   opts.enabled = true;
   opts.down_cycles = 1;
-  AgentPlane plane(cloud, vms, config.plan, config.refresh, config.forecast, opts);
+  MeasureCycle measurement(cloud, vms, config.plan, config.refresh, config.forecast);
+  AgentPlane plane(measurement, opts);
 
   // Two clean cycles: full sweep, then (almost) nothing to refresh.
   plane.run_cycle(1);
-  const ClusterAgent::CycleReport quiet = plane.run_cycle(2);
+  const MeasureReport quiet = plane.run_cycle(2).report;
 
   // Crash at cycle 2; with down_cycles = 1 the agent restarts during cycle 3
   // (dropping cycle 3's probe request on the floor first), its Hello lands
@@ -406,14 +406,14 @@ TEST(AgentFaults, CrashRestartResyncReprobesTheAgentsRow) {
   // resync.
   plane.crash_agent(2);
   plane.run_cycle(3);
-  const ClusterAgent::CycleReport resync = plane.run_cycle(4);
+  const MeasureReport resync = plane.run_cycle(4).report;
 
   // The resync re-probed agent 2's outgoing row (every row pair not already
   // planned, accounted as stale — with staleness effectively off, the quiet
   // plan holds at most volatile pairs).
-  EXPECT_GE(resync.pairs_planned, vms.size() - 1);
+  EXPECT_GE(resync.agent_pairs_planned, vms.size() - 1);
   EXPECT_GE(resync.stale, 1u);
-  EXPECT_GE(resync.pairs_planned, quiet.pairs_planned);
+  EXPECT_GE(resync.agent_pairs_planned, quiet.agent_pairs_planned);
   EXPECT_GE(plane.stats().restarts, 1u);
   EXPECT_GE(plane.stats().cluster.resyncs, 1u);
 }
@@ -463,8 +463,8 @@ TEST(StatsConservation, PlaneTotalsAreMonotoneAndConservedAcrossCrashes) {
   cloud::Cloud cloud(cloud::ec2_2013(), 11);
   const auto vms = cloud.allocate_vms(6);
   core::ChoreoConfig config = cheap_config();
-  AgentOptions opts = faulty_options(11);
-  AgentPlane plane(cloud, vms, config.plan, config.refresh, config.forecast, opts);
+  MeasureCycle measurement(cloud, vms, config.plan, config.refresh, config.forecast);
+  AgentPlane plane(measurement, faulty_options(11));
 
   AgentPlane::Stats prev;
   for (std::uint64_t cycle = 1; cycle <= 20; ++cycle) {
