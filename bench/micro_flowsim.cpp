@@ -1,6 +1,6 @@
 // Microbenchmark for the incremental max-min kernel (flowsim/max_min_kernel).
 //
-// Three properties of the PR 9 rearchitecture are measured and enforced:
+// Four properties are measured and enforced:
 //   1. Reallocate cost: after a single-flow event, the incremental kernel
 //      recomputes only the touched connected component, while the reference
 //      path (preserved as the differential oracle) rebuilds the full
@@ -15,6 +15,12 @@
 //      transfer batches produce) must run no slower — in practice much
 //      faster — than KernelMode::Reference, with auto-retire keeping memory
 //      proportional to the live flow set.
+//   4. Ground-truth views: an 8-VM ec2_2013 view from one batched
+//      Cloud::true_path_rates_bps call (one background settle, a what-if
+//      solve per pair) against the per-pair fresh simulations it replaced
+//      (bench/true_rate_oracle.h). The batch must be at least 5x faster,
+//      settle exactly once per view and match the per-pair rates bit for
+//      bit.
 //
 // `--smoke` runs a reduced sweep for CI; `--json[=PATH]` emits the metrics
 // as a BenchJson document (gated by bench/check_bench_json.py in CI).
@@ -26,10 +32,14 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "cloud/cloud.h"
 #include "flowsim/max_min.h"
 #include "flowsim/max_min_kernel.h"
 #include "flowsim/sim.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
+#include "obs/observer.h"
+#include "true_rate_oracle.h"
 #include "util/rng.h"
 
 // --- Global allocation counter -------------------------------------------
@@ -270,6 +280,65 @@ int main(int argc, char** argv) {
     std::cout << ct.to_string();
     check(incr_wall_ms <= ref_wall_ms,
           "incremental kernel handles churn no slower than the reference path");
+  }
+
+  header(std::string("Ground-truth view: one settle per view vs per-pair sims") +
+         (smoke ? " [smoke]" : ""));
+  {
+    constexpr std::uint64_t kCloudSeed = 20130923;
+    cloud::Cloud cloud(cloud::ec2_2013(), kCloudSeed);
+    obs::Registry registry;
+    obs::Observer observer;
+    observer.metrics = &registry;
+    cloud.set_observer(observer);
+    const auto vms = cloud.allocate_vms(8);
+    const auto pairs = all_ordered_pairs(vms);
+    const std::uint64_t views = smoke ? 10 : 50;
+
+    double per_pair_us = 0.0, batched_us = 0.0;
+    std::size_t mismatches = 0;
+    std::vector<double> per_pair(pairs.size());
+    for (std::uint64_t epoch = 1; epoch <= views; ++epoch) {
+      auto t0 = Clock::now();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        per_pair[k] = oracle_true_rate(cloud, kCloudSeed, pairs[k].first, pairs[k].second,
+                                       epoch)
+                          .rate_bps;
+      }
+      per_pair_us += us_since(t0);
+      t0 = Clock::now();
+      const std::vector<double> batched = cloud.true_path_rates_bps(pairs, epoch);
+      batched_us += us_since(t0);
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (std::memcmp(&per_pair[k], &batched[k], sizeof(double)) != 0) ++mismatches;
+      }
+    }
+    per_pair_us /= static_cast<double>(views);
+    batched_us /= static_cast<double>(views);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    const auto* settles = snap.find_counter("flowsim.background_settles");
+    const double settles_per_view =
+        settles ? static_cast<double>(settles->value) / static_cast<double>(views) : 0.0;
+    const double speedup = per_pair_us / batched_us;
+
+    Table vt({"pairs", "per-pair (us)", "batched (us)", "speed-up", "settles/view",
+              "mismatches"});
+    vt.add_row({fmt(static_cast<double>(pairs.size()), 0), fmt(per_pair_us, 1),
+                fmt(batched_us, 1), fmt(speedup, 1) + "x", fmt(settles_per_view, 2),
+                fmt(static_cast<double>(mismatches), 0)});
+    std::cout << vt.to_string();
+    json.row()
+        .row("kind", "true_view")
+        .row("pairs", static_cast<double>(pairs.size()))
+        .row("views", static_cast<double>(views))
+        .row("per_pair_us", per_pair_us)
+        .row("batched_us", batched_us)
+        .row("speedup", speedup)
+        .row("settles_per_view", settles_per_view)
+        .row("mismatches", static_cast<double>(mismatches));
+    check(speedup >= 5.0, "a batched true view is at least 5x faster than per-pair sims");
+    check(settles_per_view == 1.0, "a batched true view settles the background once");
+    check(mismatches == 0, "batched true rates equal the per-pair rates bit for bit");
   }
 
   const std::string json_path = json_path_from_args(argc, argv, "micro_flowsim");

@@ -98,11 +98,12 @@ SweepResult run_point(const SweepPoint& point, const measure::MeasurementPlan& m
     place::ClusterState state(cycle.view);
     place::GreedyPlacer greedy(place::RateModel::Hose);
     const place::Placement placement = greedy.place(app, state);
+    const place::ClusterView true_view = measure::true_cluster_view(cloud, vms, epoch);
     double err_sum = 0.0;
     std::size_t paths = 0;
     place::for_each_placed_transfer(
         app, placement, [&](std::size_t m, std::size_t n, double) {
-          const double truth = cloud.true_path_rate_bps(vms[m], vms[n], epoch);
+          const double truth = true_view.rate_bps(m, n);
           if (truth <= 0.0) return;
           err_sum += std::abs(cycle.view.rate_bps(m, n) - truth) / truth;
           ++paths;

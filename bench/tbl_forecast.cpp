@@ -81,11 +81,12 @@ RunResult run_session(cloud::Cloud& calm, cloud::Cloud& busy,
     place::ClusterState state(refreshed.view);
     place::GreedyPlacer greedy(place::RateModel::Hose);
     const place::Placement placement = greedy.place(app, state);
+    const place::ClusterView true_view = measure::true_cluster_view(active, vms, e);
     double err_sum = 0.0;
     std::size_t paths = 0;
     place::for_each_placed_transfer(
         app, placement, [&](std::size_t m, std::size_t n, double) {
-          const double truth = active.true_path_rate_bps(vms[m], vms[n], e);
+          const double truth = true_view.rate_bps(m, n);
           if (truth <= 0.0) return;
           err_sum += std::abs(refreshed.view.rate_bps(m, n) - truth) / truth;
           ++paths;

@@ -300,13 +300,17 @@ std::vector<packetsim::RecordingSink::Record> Cloud::run_train(
       /*snapshot=*/nullptr));
 }
 
+std::unique_ptr<Cloud::SimBundle> Cloud::settled_background(std::uint64_t epoch) const {
+  CHOREO_OBS_INC(obs_handles_.background_settles, obs_);
+  auto bundle = make_sim(epoch, /*with_background=*/true);
+  bundle->sim.run_until(kBackgroundSettleS);
+  return bundle;
+}
+
 Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
   TrafficSnapshot snap;
   snap.epoch = epoch;
-  auto bundle = make_sim(epoch, /*with_background=*/true);
-  // Let the ON-OFF background settle into its epoch state before sampling —
-  // the same warm-up true_path_rate_bps uses.
-  bundle->sim.run_until(1e-3);
+  const auto bundle = settled_background(epoch);
   const auto loads = bundle->sim.link_loads();
   snap.available_bps.resize(loads.size());
   for (std::size_t l = 0; l < loads.size(); ++l) {
@@ -397,6 +401,7 @@ void Cloud::set_observer(const obs::Observer& o) {
   obs_handles_.reallocations = o.counter("flowsim.reallocations");
   obs_handles_.trains = o.counter("packetsim.trains");
   obs_handles_.train_fallbacks = o.counter("packetsim.train_fallbacks");
+  obs_handles_.background_settles = o.counter("flowsim.background_settles");
 }
 
 Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
@@ -453,13 +458,24 @@ Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
   return result;
 }
 
-double Cloud::true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch) {
-  auto bundle = make_sim(epoch);
-  flowsim::FlowSpec spec =
-      tenant_flow(*bundle, src, dst, flowsim::kInfiniteBytes, 0.0, substream(seed_, epoch, 9));
-  const flowsim::FlowId probe = bundle->sim.add_flow(spec);
-  bundle->sim.run_until(1e-3);
-  return bundle->sim.flow(probe).rate_bps;
+std::vector<double> Cloud::true_path_rates_bps(
+    const std::vector<std::pair<VmId, VmId>>& pairs, std::uint64_t epoch) const {
+  CHOREO_OBS_SPAN(span, obs_, "cloud.true_rates", "cloud");
+  span.arg("pairs", static_cast<double>(pairs.size()));
+  std::vector<double> rates;
+  if (pairs.empty()) return rates;
+  rates.reserve(pairs.size());
+  const auto bundle = settled_background(epoch);
+  const std::uint64_t flow_key = substream(seed_, epoch, 9);
+  for (const auto& [src, dst] : pairs) {
+    rates.push_back(bundle->sim.probe_rate(
+        tenant_flow(*bundle, src, dst, flowsim::kInfiniteBytes, 0.0, flow_key)));
+  }
+  return rates;
+}
+
+double Cloud::true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch) const {
+  return true_path_rates_bps({{src, dst}}, epoch).front();
 }
 
 }  // namespace choreo::cloud

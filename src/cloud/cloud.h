@@ -157,15 +157,35 @@ class Cloud {
 
   /// Attaches the observability plane to execute(): per-call
   /// "flowsim.execute" spans and flowsim.* kernel counters (recompute
-  /// scope, waterfill rounds, reallocations); and to the packet trains:
+  /// scope, waterfill rounds, reallocations); to the packet trains:
   /// packetsim.trains, and packetsim.train_fallbacks for trains the
-  /// event-free pass left to the event simulator. execute() and trains may
-  /// run on several threads at once — counter adds are atomic and spans
-  /// commit lock-free, so attaching an observer never serializes callers.
+  /// event-free pass left to the event simulator; to ground truth:
+  /// "cloud.true_rates" spans (arg: pairs); and flowsim.background_settles
+  /// for every background settle (one per traffic snapshot or ground-truth
+  /// batch). execute(), trains and ground truth may run on several threads
+  /// at once — counter adds are atomic and spans commit lock-free, so
+  /// attaching an observer never serializes callers.
   void set_observer(const obs::Observer& o);
 
-  /// Noise-free fair-share rate a fresh probe src->dst would get right now.
-  double true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch);
+  /// Warm-up after which an epoch's ON-OFF background counts as settled:
+  /// traffic snapshots and ground-truth rates both read the background's
+  /// state at this instant.
+  static constexpr double kBackgroundSettleS = 1e-3;
+
+  /// Noise-free fair-share rates fresh persistent probes would get, one per
+  /// (src, dst) pair, each as if it were the only probe: the rate a tenant
+  /// flow (source hose, or the vswitch for same-host pairs) registered after
+  /// the epoch's background flows reads at kBackgroundSettleS. One
+  /// background settle serves every pair — background flows are persistent
+  /// and toggle on their own seeded streams, so the active set at the
+  /// settle instant does not depend on any probe, and each probe is a
+  /// what-if solve against it (flowsim::Sim::probe_rate). Thread-safe:
+  /// const, touches no mutable state.
+  std::vector<double> true_path_rates_bps(const std::vector<std::pair<VmId, VmId>>& pairs,
+                                          std::uint64_t epoch) const;
+
+  /// One pair of true_path_rates_bps.
+  double true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch) const;
 
   // ---- fluid-simulation factory (advanced experiments) --------------------
 
@@ -193,6 +213,9 @@ class Cloud {
 
   double draw_hose_rate(Rng& rng) const;
   void add_background(SimBundle& bundle, std::uint64_t epoch) const;
+  /// make_sim(epoch) run to kBackgroundSettleS: the epoch's background in
+  /// the state every snapshot and ground-truth rate of that epoch reads.
+  std::unique_ptr<SimBundle> settled_background(std::uint64_t epoch) const;
   /// Shared train construction behind run_train and run_train_in_snapshot;
   /// `shaper_jitter_frac` is invoked only for inter-host trains, `snapshot`
   /// (optional) caps hop capacities at the background's leftovers.
@@ -220,6 +243,7 @@ class Cloud {
   struct ObsHandles {
     obs::Counter executes, flows, recomputes, waterfill_rounds, reallocations;
     obs::Counter trains, train_fallbacks;
+    obs::Counter background_settles;
   };
   ObsHandles obs_handles_;
 };

@@ -106,6 +106,23 @@ void MaxMinKernel::compact_rows() {
   ++stats_.row_compactions;
 }
 
+double MaxMinKernel::probe_rate(const ResourceId* row, std::size_t len) {
+  const std::size_t probe = add_flow(row, len);
+  activate(probe);
+  recompute();
+  const double r = rate_[probe];
+  deactivate(probe);
+  // The probe's row is the tail of every per-flow array (no retire or
+  // compaction can run in between), so popping it restores the flow table.
+  row_data_.resize(row_begin_[probe]);
+  row_begin_.pop_back();
+  row_len_.pop_back();
+  active_flag_.pop_back();
+  rate_.pop_back();
+  frozen_stamp_.pop_back();
+  return r;
+}
+
 std::size_t MaxMinKernel::find_root(std::size_t r) {
   while (uf_parent_[r] != r) {
     uf_parent_[r] = uf_parent_[uf_parent_[r]];  // path halving

@@ -98,6 +98,16 @@ class MaxMinKernel {
   /// applies). Meaningful only while the flow is active.
   double rate(std::size_t flow) const { return rate_[flow]; }
 
+  /// What-if solve: the rate a flow with resource row `row` would get if it
+  /// were activated alongside the current active set. The probe is
+  /// registered last (so it takes the next flow id), activated, its
+  /// component waterfilled, then deactivated and unregistered: the active
+  /// set and flow ids are unchanged. The region the probe visited is left
+  /// dirty, so the next recompute() restores its flows' rates. Dirt pending
+  /// before the call is consumed by the probe's recompute without being
+  /// reported: callers that mirror rates recompute() first.
+  double probe_rate(const ResourceId* row, std::size_t len);
+
   // ---- introspection ------------------------------------------------------
 
   struct Stats {

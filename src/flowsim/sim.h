@@ -108,6 +108,15 @@ class Sim {
   FlowId add_on_off_flow(const FlowSpec& spec, double mean_on_s, double mean_off_s,
                          bool start_on, std::uint64_t seed);
 
+  /// Rate a persistent flow `spec` would be allocated if it joined the
+  /// currently active flows now, with `spec.rate_cap` applied as add_flow's
+  /// flow would have it. Exactly the rate that flow, registered after every
+  /// existing flow, would read at this instant: the waterfill depends only
+  /// on the active set, which the probe does not change. Nothing is added
+  /// to the simulation and no flow's rate moves. `spec.bytes` and
+  /// `spec.start_time` are ignored.
+  double probe_rate(const FlowSpec& spec);
+
   /// Invokes `fn(now)` every `interval_s` seconds, from `start_s` until the
   /// simulation ends. Samplers see post-advance, post-reallocation state.
   void add_sampler(double start_s, double interval_s, std::function<void(double)> fn);
@@ -150,7 +159,7 @@ class Sim {
 
   KernelMode kernel_mode() const { return mode_; }
   /// Incremental-kernel counters (recomputes, region sizes, waterfill
-  /// rounds); all zero in Reference mode.
+  /// rounds); in Reference mode only probe_rate's what-if solves count.
   const MaxMinKernel::Stats& kernel_stats() const { return kernel_.stats(); }
   /// Total reallocate() invocations that found dirty state, either mode.
   std::uint64_t reallocations() const { return reallocations_; }

@@ -168,17 +168,25 @@ place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
   return refresh_cluster_view(cloud, vms, plan, epoch, cache, RefreshPolicy{}).view;
 }
 
-place::ClusterView true_cluster_view(cloud::Cloud& cloud,
+place::ClusterView true_cluster_view(const cloud::Cloud& cloud,
                                      const std::vector<cloud::VmId>& vms,
                                      std::uint64_t epoch) {
   const std::size_t n = vms.size();
   CHOREO_REQUIRE(n >= 2);
-  place::ClusterView view;
-  view.rate_bps = DoubleMatrix(n, n, 0.0);
+  std::vector<std::pair<cloud::VmId, cloud::VmId>> pairs;
+  pairs.reserve(n * (n - 1));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      view.rate_bps(i, j) = cloud.true_path_rate_bps(vms[i], vms[j], epoch);
+      if (i != j) pairs.emplace_back(vms[i], vms[j]);
+    }
+  }
+  const std::vector<double> rates = cloud.true_path_rates_bps(pairs, epoch);
+  place::ClusterView view;
+  view.rate_bps = DoubleMatrix(n, n, 0.0);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) view.rate_bps(i, j) = rates[next++];
     }
   }
   view.cross_traffic = DoubleMatrix(n, n, 0.0);

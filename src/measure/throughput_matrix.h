@@ -127,7 +127,9 @@ place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
 /// Harness helper: the same view built from ground truth (noise-free rates,
 /// true co-location) — what an omniscient tenant would know. Used by tests
 /// and by benches that isolate placement quality from measurement error.
-place::ClusterView true_cluster_view(cloud::Cloud& cloud,
+/// All n(n-1) rates come from one Cloud::true_path_rates_bps batch, so the
+/// view costs one background settle, not one per pair.
+place::ClusterView true_cluster_view(const cloud::Cloud& cloud,
                                      const std::vector<cloud::VmId>& vms,
                                      std::uint64_t epoch);
 

@@ -1,0 +1,384 @@
+// Ground-truth path rates: one background settle per batch.
+//
+// Cloud::true_path_rates_bps settles an epoch's background once and solves
+// every probe pair as a what-if against it. The oracle is the per-pair
+// computation it replaced (bench/true_rate_oracle.h): a fresh simulation
+// per pair with the probe registered after the background, run to the
+// settle instant. The batch must equal it bit for bit on every ordered
+// pair, over all three provider profiles, colocated pairs, background
+// toggles inside the settle window, dense capped backgrounds, and
+// concurrent batches on one Cloud.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <thread>
+#include <vector>
+
+#include "cloud/cloud.h"
+#include "flowsim/max_min.h"
+#include "flowsim/max_min_kernel.h"
+#include "json_test_util.h"
+#include "measure/throughput_matrix.h"
+#include "net/topology.h"
+#include "obs/metrics.h"
+#include "obs/observer.h"
+#include "obs/trace.h"
+#include "true_rate_oracle.h"
+#include "util/rng.h"
+
+namespace choreo {
+namespace {
+
+using cloud::Cloud;
+using cloud::ProviderProfile;
+using cloud::VmId;
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+struct Coverage {
+  std::size_t pairs = 0;
+  std::size_t colocated = 0;
+  /// Inter-host pairs held below their source hose: a fabric link shared
+  /// with the background decides their rate.
+  std::size_t link_limited = 0;
+  /// Pairs whose probe shared a link with at least two background flows
+  /// running at their rate cap.
+  std::size_t shares_capped_bottleneck = 0;
+};
+
+/// Compares the batch against the oracle on every ordered pair of `vms` at
+/// `epoch`; returns the mismatch count and accumulates coverage.
+std::size_t batch_vs_oracle(const Cloud& cloud, std::uint64_t seed,
+                            const std::vector<VmId>& vms, std::uint64_t epoch,
+                            Coverage& cov) {
+  const auto pairs = bench::all_ordered_pairs(vms);
+  const std::vector<double> batch = cloud.true_path_rates_bps(pairs, epoch);
+  EXPECT_EQ(batch.size(), pairs.size());
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto [src, dst] = pairs[k];
+    const bench::OracleRun oracle = bench::oracle_true_rate(cloud, seed, src, dst, epoch);
+    if (!same_bits(batch[k], oracle.rate_bps)) {
+      ++mismatches;
+      ADD_FAILURE() << "seed " << seed << " epoch " << epoch << " pair " << src << "->"
+                    << dst << ": batch " << batch[k] << " vs per-pair " << oracle.rate_bps;
+    }
+    ++cov.pairs;
+    if (cloud.vm_host(src) == cloud.vm_host(dst)) {
+      ++cov.colocated;
+    } else if (oracle.rate_bps < cloud.vm_hose_bps(src)) {
+      ++cov.link_limited;
+    }
+
+    const flowsim::Sim& sim = oracle.bundle->sim;
+    const auto& probe_links = sim.flow(oracle.probe).route.links;
+    std::size_t capped = 0;
+    for (flowsim::FlowId f = 0; f < oracle.probe; ++f) {
+      const flowsim::FlowState& bg = sim.flow(f);
+      if (bg.rate_bps <= 0.0 || bg.rate_bps != bg.spec.rate_cap) continue;
+      for (net::LinkId l : bg.route.links) {
+        if (std::find(probe_links.begin(), probe_links.end(), l) != probe_links.end()) {
+          ++capped;
+          break;
+        }
+      }
+    }
+    if (capped >= 2) ++cov.shares_capped_bottleneck;
+  }
+  return mismatches;
+}
+
+std::size_t sweep(const ProviderProfile& profile, const std::vector<std::uint64_t>& seeds,
+                  const std::vector<std::uint64_t>& epochs, std::size_t n_vms, Coverage& cov) {
+  std::size_t mismatches = 0;
+  for (std::uint64_t seed : seeds) {
+    Cloud cloud(profile, seed);
+    const auto vms = cloud.allocate_vms(n_vms);
+    for (std::uint64_t epoch : epochs) {
+      mismatches += batch_vs_oracle(cloud, seed, vms, epoch, cov);
+    }
+  }
+  return mismatches;
+}
+
+/// `profile` on a fabric whose every link runs at `link_bps`: with links
+/// near the hose rates, probes contend with the background on the fabric
+/// instead of stopping at their own hose.
+ProviderProfile thin_fabric(ProviderProfile profile, double link_bps) {
+  profile.tree.super_link_bps = link_bps;
+  profile.tree.region.host_link_bps = link_bps;
+  profile.tree.region.agg_link_bps = link_bps;
+  profile.tree.region.core_link_bps = link_bps;
+  return profile;
+}
+
+TEST(TrueRates, BatchBitIdenticalToPerPairSimsOnEveryProfile) {
+  Coverage cov;
+  std::size_t mismatches = 0;
+  for (ProviderProfile profile : {cloud::ec2_2013(), cloud::ec2_2012(), cloud::rackspace()}) {
+    profile.colocate_prob = 0.2;  // same-host pairs take the vswitch branch
+    mismatches += sweep(profile, {3, 17, 101}, {1, 2, 9}, 9, cov);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(cov.pairs, 3u * 3u * 3u * 72u);
+  EXPECT_GT(cov.colocated, 0u);
+}
+
+TEST(TrueRates, BackgroundTogglesInsideTheSettleWindow) {
+  ProviderProfile profile = thin_fabric(cloud::ec2_2013(), 2e9);
+  profile.bg_flow_count = 60;
+  profile.bg_rate_cap_bps = 1e9;
+  profile.bg_mean_on_s = 1e-4;
+  profile.bg_mean_off_s = 1e-4;
+  // The background really churns before the settle instant: every toggle
+  // is a reallocation beyond the arrivals at t = 0.
+  {
+    const Cloud cloud(profile, 5);
+    const auto bundle = cloud.make_sim(1);
+    bundle->sim.run_until(Cloud::kBackgroundSettleS);
+    EXPECT_GT(bundle->sim.reallocations(), 50u);
+  }
+  Coverage cov;
+  EXPECT_EQ(sweep(profile, {5}, {1, 2, 3}, 8, cov), 0u);
+  EXPECT_GT(cov.link_limited, cov.pairs / 4);
+}
+
+TEST(TrueRates, DenseCappedBackgroundSharingTheProbesBottlenecks) {
+  ProviderProfile profile = thin_fabric(cloud::ec2_2013(), 2e9);
+  profile.bg_flow_count = 240;
+  profile.bg_rate_cap_bps = 150e6;
+  profile.bg_core_bias = 0.9;
+  Coverage cov;
+  EXPECT_EQ(sweep(profile, {8, 9}, {1, 4}, 8, cov), 0u);
+  EXPECT_GT(cov.shares_capped_bottleneck, cov.pairs / 2);
+  EXPECT_GT(cov.link_limited, cov.pairs / 4);
+}
+
+TEST(TrueRates, ConcurrentBatchesOnOneCloudAreIdentical) {
+  Cloud cloud(cloud::ec2_2013(), 31);
+  const auto vms = cloud.allocate_vms(8);
+  const auto pairs = bench::all_ordered_pairs(vms);
+  const std::vector<std::uint64_t> epochs = {1, 2, 3, 4};
+  std::vector<std::vector<double>> expected;
+  for (std::uint64_t e : epochs) expected.push_back(cloud.true_path_rates_bps(pairs, e));
+
+  // Thread t runs every epoch starting from its own offset, so all four
+  // epochs are in flight at once.
+  std::vector<std::vector<std::vector<double>>> got(
+      4, std::vector<std::vector<double>>(epochs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < epochs.size(); ++k) {
+        const std::size_t e = (t + k) % epochs.size();
+        got[t][e] = cloud.true_path_rates_bps(pairs, epochs[e]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t e = 0; e < epochs.size(); ++e) {
+      ASSERT_EQ(got[t][e].size(), pairs.size());
+      EXPECT_EQ(std::memcmp(got[t][e].data(), expected[e].data(),
+                            pairs.size() * sizeof(double)),
+                0)
+          << "thread " << t << " epoch " << epochs[e];
+    }
+  }
+}
+
+TEST(TrueRates, OnePairCallIsTheBatchOfOne) {
+  Cloud cloud(cloud::rackspace(), 44);
+  const auto vms = cloud.allocate_vms(5);
+  const auto pairs = bench::all_ordered_pairs(vms);
+  const std::vector<double> batch = cloud.true_path_rates_bps(pairs, 3);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    EXPECT_TRUE(same_bits(cloud.true_path_rate_bps(pairs[k].first, pairs[k].second, 3),
+                          batch[k]));
+  }
+  EXPECT_TRUE(cloud.true_path_rates_bps({}, 3).empty());
+}
+
+TEST(TrueRates, OneSettlePerViewThroughTheObserver) {
+  obs::Registry registry;
+  obs::Tracer tracer;
+  obs::Observer observer;
+  observer.metrics = &registry;
+  observer.tracer = &tracer;
+  Cloud cloud(cloud::ec2_2013(), 12);
+  cloud.set_observer(observer);
+  const auto vms = cloud.allocate_vms(6);
+  measure::true_cluster_view(cloud, vms, 2);
+
+  const auto snap = registry.snapshot();
+  const auto* settles = snap.find_counter("flowsim.background_settles");
+  ASSERT_NE(settles, nullptr);
+  EXPECT_EQ(settles->value, 1u);
+
+  const auto parsed = testjson::JsonParser(tracer.to_json()).parse();
+  ASSERT_TRUE(parsed.has_value());
+  std::size_t spans = 0;
+  for (const testjson::JsonValue& ev : parsed->find("traceEvents")->array) {
+    if (ev.find("ph")->string != "X" || ev.find("name")->string != "cloud.true_rates") continue;
+    ++spans;
+    EXPECT_EQ(ev.find("args")->find("pairs")->number, 30.0);
+  }
+  EXPECT_EQ(spans, 1u);
+}
+
+// Sim::probe_rate against the flow it stands for: in a twin run to the same
+// instant, the probe added as a real flow (registered last, arriving now)
+// reads exactly the probed rate, rate caps, hoses and an unconstrained probe
+// included. And a Sim that answered what-ifs continues like one that never
+// did: pending capacity changes, flows added after the probes, ON-OFF churn
+// and finite completions all land as if no probe had happened.
+TEST(TrueRates, SimProbeRateEqualsTheAddedFlowAndLeavesTheSimulationUnchanged) {
+  net::TreeParams tp;
+  tp.host_link_bps = 2e9;
+  const net::Topology topo = net::make_multi_rooted_tree(tp);
+  const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
+  const auto host = [&](Rng& rng) {
+    return hosts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+  };
+  constexpr double kNow = 0.3;
+  flowsim::ResourceId hose = 0;
+  // Background churn and finite flows, run to kNow, then a capacity change
+  // left pending: the probe must not swallow that dirt.
+  const auto build = [&](flowsim::Sim& sim) {
+    Rng rng(77);
+    hose = sim.add_resource(8e8);
+    for (int i = 0; i < 24; ++i) {
+      flowsim::FlowSpec spec;
+      spec.src = host(rng);
+      spec.dst = host(rng);
+      spec.flow_key = static_cast<std::uint64_t>(i);
+      spec.rate_cap = i % 3 == 0 ? 3e8 : spec.rate_cap;
+      if (i % 4 == 0) spec.extra_resources.push_back(hose);
+      sim.add_on_off_flow(spec, 0.05, 0.05, i % 2 == 0, static_cast<std::uint64_t>(i) + 1);
+    }
+    for (int i = 0; i < 10; ++i) {
+      flowsim::FlowSpec spec;
+      spec.src = host(rng);
+      spec.dst = host(rng);
+      spec.bytes = rng.uniform(1e6, 2e7);
+      spec.start_time = rng.uniform(0.0, 0.5);
+      spec.flow_key = 1000 + static_cast<std::uint64_t>(i);
+      sim.add_flow(spec);
+    }
+    sim.run_until(kNow);
+    sim.set_resource_capacity(hose, 4e8);
+  };
+  flowsim::Sim probed(topo), twin(topo);
+  build(probed);
+  build(twin);
+
+  // The last probe crosses no resource, so it leaves nothing dirty behind:
+  // only a Sim that settled the pending dirt first still has it right.
+  Rng rng(5);
+  for (int p = 0; p < 8; ++p) {
+    const bool last = p == 7;
+    flowsim::FlowSpec spec;
+    spec.src = host(rng);
+    spec.dst = last ? spec.src : host(rng);
+    spec.bytes = flowsim::kInfiniteBytes;
+    spec.start_time = kNow;
+    spec.flow_key = 500 + static_cast<std::uint64_t>(p);
+    if (p % 2 == 1 && !last) spec.extra_resources.push_back(hose);
+    if (p % 3 == 0) spec.rate_cap = 2e8;
+    const double rate = probed.probe_rate(spec);
+
+    flowsim::Sim added(topo);
+    build(added);
+    const flowsim::FlowId id = added.add_flow(spec);
+    added.run_until(kNow);
+    EXPECT_TRUE(same_bits(rate, added.flow(id).rate_bps))
+        << "probe " << p << ": " << rate << " vs " << added.flow(id).rate_bps;
+  }
+
+  for (flowsim::Sim* sim : {&probed, &twin}) {
+    flowsim::FlowSpec late;
+    late.src = hosts.front();
+    late.dst = hosts.back();
+    late.bytes = 5e6;
+    late.start_time = 0.4;
+    sim->add_flow(late);
+    sim->run_to_completion(100.0);
+  }
+  ASSERT_EQ(probed.flow_count(), twin.flow_count());
+  for (flowsim::FlowId f = 0; f < twin.flow_count(); ++f) {
+    const flowsim::FlowState& a = probed.flow(f);
+    const flowsim::FlowState& b = twin.flow(f);
+    EXPECT_TRUE(same_bits(a.rate_bps, b.rate_bps)) << "flow " << f;
+    EXPECT_TRUE(same_bits(a.bytes_received, b.bytes_received)) << "flow " << f;
+    EXPECT_TRUE(same_bits(a.completion_time, b.completion_time)) << "flow " << f;
+  }
+  EXPECT_TRUE(same_bits(probed.makespan(), twin.makespan()));
+  EXPECT_EQ(probed.reallocations(), twin.reallocations());
+}
+
+// The kernel's what-if solve against the reference waterfill: the probe's
+// rate equals max_min_rates over the active rows plus the probe's row, and
+// the kernel comes back with its active set, flow ids and (after the next
+// recompute) every rate exactly as before.
+TEST(TrueRates, KernelProbeRateMatchesTheOracleAndLeavesTheKernelIntact) {
+  Rng rng(2013);
+  const double unconstrained = 1e12;
+  std::size_t probes = 0, empty_rows = 0;
+  for (int instance = 0; instance < 60; ++instance) {
+    flowsim::MaxMinKernel kernel(unconstrained);
+    const std::size_t n_res = static_cast<std::size_t>(rng.uniform_int(2, 10));
+    std::vector<double> caps;
+    for (std::size_t r = 0; r < n_res; ++r) {
+      caps.push_back(rng.chance(0.1) ? 0.0 : rng.uniform(1e8, 1e10));
+      kernel.add_resource(caps.back());
+    }
+    const auto random_row = [&] {
+      std::vector<flowsim::ResourceId> row;
+      const auto len = rng.uniform_int(0, 4);
+      for (std::int64_t i = 0; i < len; ++i) {
+        row.push_back(static_cast<flowsim::ResourceId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n_res) - 1)));
+      }
+      return row;
+    };
+    std::vector<std::vector<flowsim::ResourceId>> rows;
+    const auto n_flows = rng.uniform_int(1, 14);
+    for (std::int64_t f = 0; f < n_flows; ++f) {
+      rows.push_back(random_row());
+      const std::size_t id = kernel.add_flow(rows.back().data(), rows.back().size());
+      if (rng.chance(0.7)) kernel.activate(id);
+    }
+    kernel.recompute();
+    const std::vector<std::size_t> active = kernel.active_flows();
+    std::vector<std::vector<flowsim::ResourceId>> active_rows;
+    for (std::size_t f : active) active_rows.push_back(rows[f]);
+    const std::vector<double> settled =
+        flowsim::max_min_rates(caps, active_rows, unconstrained);
+
+    for (int p = 0; p < 5; ++p) {
+      const std::vector<flowsim::ResourceId> probe = random_row();
+      if (probe.empty()) ++empty_rows;
+      auto with_probe = active_rows;
+      with_probe.push_back(probe);
+      const double expected = flowsim::max_min_rates(caps, with_probe, unconstrained).back();
+      EXPECT_TRUE(same_bits(kernel.probe_rate(probe.data(), probe.size()), expected))
+          << "instance " << instance << " probe " << p;
+      EXPECT_EQ(kernel.flow_count(), rows.size());
+      EXPECT_EQ(kernel.active_flows(), active);
+      ++probes;
+    }
+    kernel.recompute();
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      EXPECT_TRUE(same_bits(kernel.rate(active[i]), settled[i]))
+          << "instance " << instance << " flow " << active[i];
+    }
+  }
+  EXPECT_EQ(probes, 300u);
+  EXPECT_GT(empty_rows, 0u);
+}
+
+}  // namespace
+}  // namespace choreo
