@@ -12,6 +12,7 @@
 // B's *measurement-driven* placement avoids the paths A is loading.
 
 #include "bench_common.h"
+#include "agent/measure_cycle.h"
 #include "measure/throughput_matrix.h"
 #include "place/baselines.h"
 #include "place/greedy.h"
@@ -54,7 +55,7 @@ int main() {
 
     try {
       const place::ClusterView view_a =
-          measure::measured_cluster_view(c, vms_a, plan, 100 + attempts);
+          agent::MeasureCycle(c, vms_a, plan, {}, {}).run(100 + attempts).view;
       place::ClusterState state_a(view_a);
       const place::Placement p_a = greedy_a.place(app_a, state_a);
 
@@ -75,7 +76,7 @@ int main() {
       }();
 
       const place::ClusterView view_b =
-          measure::measured_cluster_view(c, vms_b, plan, 200 + attempts);
+          agent::MeasureCycle(c, vms_b, plan, {}, {}).run(200 + attempts).view;
       place::ClusterState state_b(view_b);
 
       const auto run_b = [&](place::Placer& placer) {

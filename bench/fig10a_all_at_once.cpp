@@ -12,6 +12,7 @@
 #include <map>
 
 #include "bench_common.h"
+#include "agent/measure_cycle.h"
 #include "measure/throughput_matrix.h"
 #include "place/baselines.h"
 #include "place/greedy.h"
@@ -51,7 +52,7 @@ int main() {
     plan.train.bursts = 10;
     plan.train.burst_length = 200;
     const place::ClusterView view =
-        measure::measured_cluster_view(c, vms, plan, 7000 + attempts);
+        agent::MeasureCycle(c, vms, plan, {}, {}).run(7000 + attempts).view;
     place::ClusterState state(view);
 
     place::GreedyPlacer choreo_placer(place::RateModel::Hose);

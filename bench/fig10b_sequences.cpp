@@ -14,6 +14,7 @@
 #include <map>
 
 #include "bench_common.h"
+#include "agent/measure_cycle.h"
 #include "measure/throughput_matrix.h"
 #include "place/baselines.h"
 #include "place/greedy.h"
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
     plan.train.bursts = 10;
     plan.train.burst_length = 200;
     const place::ClusterView view =
-        measure::measured_cluster_view(c, vms, plan, 8000 + attempts);
+        agent::MeasureCycle(c, vms, plan, {}, {}).run(8000 + attempts).view;
 
     place::GreedyPlacer choreo_placer(place::RateModel::Hose);
     place::RandomPlacer random(500 + attempts);

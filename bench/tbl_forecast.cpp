@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "agent/measure_cycle.h"
 #include "forecast/predictive_policy.h"
 #include "measure/throughput_matrix.h"
 #include "place/greedy.h"
@@ -47,34 +48,33 @@ struct RunResult {
 };
 
 /// One measurement+placement session over the regime change, planning either
-/// with the fixed policy (predictive == nullptr) or the forecast plane.
+/// with the fixed policy (forecasting disabled) or the forecast plane.
 RunResult run_session(cloud::Cloud& calm, cloud::Cloud& busy,
                       const std::vector<cloud::VmId>& vms,
                       const measure::MeasurementPlan& mplan,
-                      const measure::RefreshPolicy& fixed,
-                      forecast::PredictivePolicy* predictive,
+                      const measure::RefreshPolicy& refresh,
+                      const forecast::ForecastOptions& forecast,
                       const place::Application& app, std::size_t total_epochs,
                       std::size_t shift_epoch) {
   RunResult result;
-  measure::ViewCache cache(vms.size());
+  agent::MeasureCycle cycle(calm, vms, mplan, refresh, forecast);
   std::vector<double> errs, post_errs;
   for (std::uint64_t e = 1; e <= total_epochs; ++e) {
     cloud::Cloud& active = e <= shift_epoch ? calm : busy;
-    measure::RefreshPlan plan =
-        predictive ? predictive->plan_refresh(cache, e, fixed)
-                   : cache.plan_refresh(e, fixed);
+    // The trains run against whichever cloud is active this epoch; the twins
+    // share the topology the cycle rebuilds the view from.
+    const auto probe_active = [&](const measure::ProbeSchedule& schedule,
+                                  std::uint64_t epoch) {
+      measure::run_probe_schedule(active, vms, schedule, mplan, epoch,
+                                  [&](const measure::ProbePair& p, double rate) {
+                                    cycle.integrate(p.src, p.dst, rate, epoch);
+                                  });
+    };
+    const agent::MeasureCycle::Result refreshed = cycle.run(e, probe_active);
     EpochScore score;
-    score.probes = plan.pairs.size();
-    measure::RefreshResult refreshed = measure::refresh_cluster_view_with_plan(
-        active, vms, mplan, e, cache, std::move(plan));
-    if (predictive) {
-      for (const measure::ProbePair& p : refreshed.plan.pairs) {
-        predictive->observe(p.src, p.dst, cache.at(p.src, p.dst).rate_bps, e);
-      }
-      predictive->apply_to_view(refreshed.view, cache, refreshed.plan, e);
-      score.changepoints = predictive->last_plan().changepoints;
-      score.full_sweep = predictive->last_plan().full_sweep;
-    }
+    score.probes = refreshed.report.pairs_probed;
+    score.changepoints = refreshed.report.changepoint_pairs;
+    score.full_sweep = refreshed.report.forecast_full_sweep;
 
     // Place the probe application on the view this policy believes in, then
     // score the believed rates of the chosen paths against ground truth.
@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   opts.cusum.threshold = 0.35;
   opts.changepoint_baseline_alpha = 0.15;
   opts.changepoint_sweep_fraction = 0.4;
-  forecast::PredictivePolicy policy(opts);
 
   // The probe application: dense enough to stress many paths, CPU-heavy
   // enough that tasks must spread across machines.
@@ -184,10 +183,10 @@ int main(int argc, char** argv) {
   const place::Application app = workload::generate_app(app_rng, gen);
 
   const RunResult fixed_run = run_session(calm, busy, vms, mplan, fixed,
-                                          /*predictive=*/nullptr, app, total_epochs,
+                                          forecast::ForecastOptions{}, app, total_epochs,
                                           shift_epoch);
   const RunResult pred_run = run_session(calm, busy, vms_busy, mplan, predictive_net,
-                                         &policy, app, total_epochs, shift_epoch);
+                                         opts, app, total_epochs, shift_epoch);
 
   Table t({"epoch", "fixed probes", "pred probes", "fixed rate err", "pred rate err",
            "changepoints"});

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "bench_common.h"
+#include "agent/measure_cycle.h"
 #include "measure/throughput_matrix.h"
 #include "place/baselines.h"
 #include "place/greedy.h"
@@ -41,7 +42,7 @@ std::map<std::string, std::vector<double>> batch_speedups(std::size_t runs) {
     plan.train.bursts = 10;
     plan.train.burst_length = 200;
     const place::ClusterView view =
-        measure::measured_cluster_view(c, vms, plan, 9000 + attempts);
+        agent::MeasureCycle(c, vms, plan, {}, {}).run(9000 + attempts).view;
     place::ClusterState state(view);
 
     place::GreedyPlacer choreo_placer(place::RateModel::Hose);

@@ -8,7 +8,7 @@
 //      pairs into exactly n-1 conflict-free rounds whose trains run
 //      concurrently, so modeled wall-clock grows ~linearly in n while a
 //      train-at-a-time plan grows quadratically.
-//   3. The incremental path: a ViewCache refresh re-probes only flagged
+//   3. The incremental path: a MeasureCycle refresh re-probes only flagged
 //      pairs — strictly fewer than a full re-measurement — and carries every
 //      unchanged estimate over bit-for-bit.
 //
@@ -18,6 +18,7 @@
 #include <cstring>
 
 #include "bench_common.h"
+#include "agent/measure_cycle.h"
 #include "measure/packet_train.h"
 #include "measure/probe_scheduler.h"
 #include "measure/throughput_matrix.h"
@@ -89,10 +90,11 @@ int main(int argc, char** argv) {
     const auto vms = c.allocate_vms(10);
     measure::MeasurementPlan plan = ec2_plan;
     plan.workers = 4;  // concurrent trains; results identical to sequential
-    const measure::MatrixResult res = measure::measure_rate_matrix(c, vms, plan, 1);
-    std::cout << "orchestrator: " << res.pairs_measured << " pairs in " << res.rounds
+    const agent::MeasureReport res =
+        agent::MeasureCycle(c, vms, plan, {}, {}).run(1).report;
+    std::cout << "orchestrator: " << res.pairs_probed << " pairs in " << res.rounds
               << " rounds, modelled wall clock " << fmt(res.wall_time_s, 1) << " s\n";
-    check(res.pairs_measured == 90, "90 ordered pairs measured");
+    check(res.pairs_probed == 90, "90 ordered pairs measured");
     check(res.rounds == 9, "9 rounds (each VM sources one train per round)");
     check(std::abs(res.wall_time_s - ec2_wall) < 1e-6, "wall-clock model matches plan");
   }
@@ -155,14 +157,14 @@ int main(int argc, char** argv) {
     policy.max_age_epochs = 50;
     policy.volatility_threshold = 1e9;  // isolate the staleness mechanics
 
-    measure::ViewCache cache;
-    const measure::RefreshResult full =
-        measure::refresh_cluster_view(c, vms, plan, 1, cache, policy);
-    cache.invalidate(0, 1);
-    cache.invalidate(1, 0);
-    cache.invalidate(2, 3);
-    const measure::RefreshResult incr =
-        measure::refresh_cluster_view(c, vms, plan, 5, cache, policy);
+    agent::MeasureCycle cycle(c, vms, plan, policy, {});
+    const agent::MeasureCycle::Result full_cycle = cycle.run(1);
+    cycle.require_probe(0, 1);
+    cycle.require_probe(1, 0);
+    cycle.require_probe(2, 3);
+    const agent::MeasureCycle::Result incr_cycle = cycle.run(5);
+    const agent::MeasureReport& full = full_cycle.report;
+    const agent::MeasureReport& incr = incr_cycle.report;
 
     Table it({"cycle", "pairs probed", "rounds", "modeled wall (s)"});
     it.add_row({"full", fmt(static_cast<double>(full.pairs_probed), 0),
@@ -174,8 +176,9 @@ int main(int argc, char** argv) {
     bool unchanged_identical = true;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        if (i == j || incr.view.pair_epoch(i, j) != 1) continue;
-        unchanged_identical &= incr.view.rate_bps(i, j) == full.view.rate_bps(i, j);
+        if (i == j || incr_cycle.view.pair_epoch(i, j) != 1) continue;
+        unchanged_identical &=
+            incr_cycle.view.rate_bps(i, j) == full_cycle.view.rate_bps(i, j);
       }
     }
     check(full.pairs_probed == n * (n - 1), "first cycle probes the full matrix");

@@ -11,6 +11,9 @@
 //   choreo_sim --mode session --agents --batch --trace=trace.json --metrics=m.json
 //   choreo_sim --help
 //
+// Exit status: 0 on success, 1 when the workload has no feasible placement,
+// 2 on a bad flag or flag value (the message and usage go to stderr).
+//
 // --trace=PATH writes a Chrome trace-event JSON (load it at ui.perfetto.dev)
 // with one lane per tenant; --metrics=PATH dumps the obs registry snapshot.
 // Either flag also runs an executed-transfer spot check after a session so
@@ -29,6 +32,7 @@
 #include <iostream>
 #include <memory>
 
+#include "agent/measure_cycle.h"
 #include "agent/options.h"
 #include "agent/plane.h"
 #include "core/controller.h"
@@ -66,70 +70,22 @@ cloud::ProviderProfile make_profile(const std::string& name) {
   throw PreconditionError("unknown provider: " + name + " (ec2|ec2-2012|rackspace)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace choreo;
-
-  Args args;
-  args.add_option("provider", "ec2", "cloud model: ec2 | ec2-2012 | rackspace");
-  args.add_option("vms", "10", "VMs to rent (per tenant in session mode)");
-  args.add_option("apps", "2", "applications to place");
-  args.add_option("mode", "batch",
-                  "batch (combine & place at once) | sequence | session | agents");
-  args.add_option("algorithm", "greedy",
-                  "greedy | random | round-robin | min-machines | ilp");
-  args.add_option("rate-model", "hose", "hose | pipe (for greedy/ilp)");
-  args.add_option("seed", "1", "experiment seed");
-  args.add_option("mean-gap", "60", "sequence mode: mean inter-arrival gap (s)");
-  args.add_option("tenants", "2", "session mode: tenants sharing the cloud");
-  args.add_option("duration-hours", "6", "session mode: trace length per tenant");
-  args.add_option("apps-per-day", "48", "session mode: per-tenant arrival rate");
-  args.add_option("threads", "1",
-                  "session mode: worker threads for the sharded control "
-                  "plane (1 = single-threaded oracle path; output is "
-                  "identical either way)");
-  args.add_option("shards", "0",
-                  "session mode: tenant shards (0 = one per thread); only "
-                  "meaningful with --threads > 1");
-  args.add_option("cycles", "8", "agents mode: measurement cycles to run");
-  args.add_option("loss", "0", "agents mode: per-message loss probability");
-  args.add_option("duplicate", "0", "agents mode: per-message duplicate probability");
-  args.add_option("delay-max", "0", "agents mode: max delivery delay (cycles)");
-  args.add_option("crash-rate", "0", "agents mode: per-agent crash probability/cycle");
-  args.add_option("report-budget", "0",
-                  "agents mode: max samples per StatsReport (0 = unlimited)");
-  args.add_option("trace", "",
-                  "write a Chrome trace-event JSON of the run to this path "
-                  "(open in Perfetto)");
-  args.add_option("metrics", "",
-                  "write the metrics-registry snapshot JSON to this path");
-  args.add_flag("agents",
-                "session mode: measure through the distributed agent plane "
-                "(--loss/--crash-rate etc. apply per tenant)");
-  args.add_flag("batch",
-                "session mode: batched joint placement of queued arrivals");
-  args.add_flag("bursty", "session mode: MMPP-modulate the arrival process");
-  args.add_flag("forecast",
-                "enable the forecast plane: predictability-driven refresh + "
-                "uncertainty-discounted placement rates");
-  args.add_flag("truth", "place on ground-truth rates instead of packet trains");
-  args.add_flag("help", "show this help");
-
-  try {
-    args.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n" << args.usage("choreo_sim");
-    return 2;
+/// A count flag as a size; negative values are rejected before the cast
+/// (a wrapped-around count would ask for billions of VMs, cycles or threads).
+std::size_t get_count(const Args& args, const std::string& name) {
+  const std::int64_t value = args.get_int(name);
+  if (value < 0) {
+    throw PreconditionError("--" + name + " must be non-negative, got " +
+                            std::to_string(value));
   }
-  if (args.get_flag("help")) {
-    std::cout << args.usage("choreo_sim");
-    return 0;
-  }
+  return static_cast<std::size_t>(value);
+}
 
+/// Runs the mode `args` selects and returns its exit code.
+int run(const Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto n_vms = static_cast<std::size_t>(args.get_int("vms"));
-  const auto n_apps = static_cast<std::size_t>(args.get_int("apps"));
+  const std::size_t n_vms = get_count(args, "vms");
+  const std::size_t n_apps = get_count(args, "apps");
   const place::RateModel model =
       args.get("rate-model") == "pipe" ? place::RateModel::Pipe : place::RateModel::Hose;
 
@@ -173,8 +129,9 @@ int main(int argc, char** argv) {
     const workload::HpCloudTrace trace(seed * 7 + 5, workload::TraceConfig{});
     Rng rng(seed * 11 + 3);
     const place::ClusterView view =
-        args.get_flag("truth") ? measure::true_cluster_view(cloud, vms, seed)
-                               : measure::measured_cluster_view(cloud, vms, plan, seed);
+        args.get_flag("truth")
+            ? measure::true_cluster_view(cloud, vms, seed)
+            : agent::MeasureCycle(cloud, vms, plan, {}, {}).run(seed).view;
     const auto placer = make_placer(args.get("algorithm"), model, seed);
     const place::Application combined = place::combine(trace.sample_batch(rng, n_apps));
     place::ClusterState state(view);
@@ -247,7 +204,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.get("mode") == "session") {
-    const auto n_tenants = static_cast<std::size_t>(args.get_int("tenants"));
+    const std::size_t n_tenants = get_count(args, "tenants");
     workload::TraceConfig trace_cfg;
     trace_cfg.duration_hours = args.get_double("duration-hours");
     trace_cfg.apps_per_day = args.get_double("apps-per-day");
@@ -290,7 +247,7 @@ int main(int argc, char** argv) {
         spec.config.agents.transport.fault.loss = args.get_double("loss");
         spec.config.agents.transport.fault.duplicate = args.get_double("duplicate");
         spec.config.agents.transport.fault.delay_max_cycles =
-            static_cast<std::uint32_t>(args.get_int("delay-max"));
+            static_cast<std::uint32_t>(get_count(args, "delay-max"));
         spec.config.agents.crash_rate = args.get_double("crash-rate");
         spec.config.agents.crash_seed = seed + 11 + i;
       }
@@ -304,7 +261,7 @@ int main(int argc, char** argv) {
     // --threads 1 (the default) keeps the single-threaded oracle path;
     // anything higher routes through the sharded control plane, whose
     // output is bit-identical for any shard/thread count.
-    const auto n_threads = static_cast<unsigned>(args.get_int("threads"));
+    const auto n_threads = static_cast<unsigned>(get_count(args, "threads"));
     core::MultiTenantLog result;
     std::vector<core::SessionRuntime::Stats> tenant_stats;
     if (n_threads <= 1) {
@@ -314,7 +271,7 @@ int main(int argc, char** argv) {
     } else {
       core::ShardedOptions sharded;
       sharded.threads = n_threads;
-      sharded.shards = static_cast<std::size_t>(args.get_int("shards"));
+      sharded.shards = get_count(args, "shards");
       sharded.obs = obsv;
       core::ShardedSession session(cloud, std::move(tenants), sharded);
       result = session.run();
@@ -405,10 +362,10 @@ int main(int argc, char** argv) {
     opts.transport.fault.loss = args.get_double("loss");
     opts.transport.fault.duplicate = args.get_double("duplicate");
     opts.transport.fault.delay_max_cycles =
-        static_cast<std::uint32_t>(args.get_int("delay-max"));
+        static_cast<std::uint32_t>(get_count(args, "delay-max"));
     opts.crash_rate = args.get_double("crash-rate");
     opts.crash_seed = seed + 11;
-    opts.max_samples_per_report = static_cast<std::size_t>(args.get_int("report-budget"));
+    opts.max_samples_per_report = get_count(args, "report-budget");
 
     measure::RefreshPolicy refresh;
     forecast::ForecastOptions forecast;
@@ -417,7 +374,7 @@ int main(int argc, char** argv) {
     agent::AgentPlane plane(measurement, opts);
     if (obsv.enabled()) plane.set_observer(obsv);
 
-    const auto n_cycles = static_cast<std::uint64_t>(args.get_int("cycles"));
+    const std::uint64_t n_cycles = get_count(args, "cycles");
     Table t({"epoch", "planned", "probed", "missing", "defaulted", "reports",
              "wall (s)"});
     for (std::uint64_t epoch = 1; epoch <= n_cycles; ++epoch) {
@@ -449,4 +406,77 @@ int main(int argc, char** argv) {
 
   std::cerr << "unknown --mode " << args.get("mode") << "\n" << args.usage("choreo_sim");
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace choreo;
+
+  Args args;
+  args.add_option("provider", "ec2", "cloud model: ec2 | ec2-2012 | rackspace");
+  args.add_option("vms", "10", "VMs to rent (per tenant in session mode)");
+  args.add_option("apps", "2", "applications to place");
+  args.add_option("mode", "batch",
+                  "batch (combine & place at once) | sequence | session | agents");
+  args.add_option("algorithm", "greedy",
+                  "greedy | random | round-robin | min-machines | ilp");
+  args.add_option("rate-model", "hose", "hose | pipe (for greedy/ilp)");
+  args.add_option("seed", "1", "experiment seed");
+  args.add_option("mean-gap", "60", "sequence mode: mean inter-arrival gap (s)");
+  args.add_option("tenants", "2", "session mode: tenants sharing the cloud");
+  args.add_option("duration-hours", "6", "session mode: trace length per tenant");
+  args.add_option("apps-per-day", "48", "session mode: per-tenant arrival rate");
+  args.add_option("threads", "1",
+                  "session mode: worker threads for the sharded control "
+                  "plane (1 = single-threaded oracle path; output is "
+                  "identical either way)");
+  args.add_option("shards", "0",
+                  "session mode: tenant shards (0 = one per thread); only "
+                  "meaningful with --threads > 1");
+  args.add_option("cycles", "8", "agents mode: measurement cycles to run");
+  args.add_option("loss", "0", "agents mode: per-message loss probability");
+  args.add_option("duplicate", "0", "agents mode: per-message duplicate probability");
+  args.add_option("delay-max", "0", "agents mode: max delivery delay (cycles)");
+  args.add_option("crash-rate", "0", "agents mode: per-agent crash probability/cycle");
+  args.add_option("report-budget", "0",
+                  "agents mode: max samples per StatsReport (0 = unlimited)");
+  args.add_option("trace", "",
+                  "write a Chrome trace-event JSON of the run to this path "
+                  "(open in Perfetto)");
+  args.add_option("metrics", "",
+                  "write the metrics-registry snapshot JSON to this path");
+  args.add_flag("agents",
+                "session mode: measure through the distributed agent plane "
+                "(--loss/--crash-rate etc. apply per tenant)");
+  args.add_flag("batch",
+                "session mode: batched joint placement of queued arrivals");
+  args.add_flag("bursty", "session mode: MMPP-modulate the arrival process");
+  args.add_flag("forecast",
+                "enable the forecast plane: predictability-driven refresh + "
+                "uncertainty-discounted placement rates");
+  args.add_flag("truth", "place on ground-truth rates instead of packet trains");
+  args.add_flag("help", "show this help");
+
+  try {
+    args.parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n" << args.usage("choreo_sim");
+    return 2;
+  }
+  if (args.get_flag("help")) {
+    std::cout << args.usage("choreo_sim");
+    return 0;
+  }
+
+  try {
+    return run(args);
+  } catch (const place::PlacementError& e) {
+    std::cerr << "no feasible placement: " << e.what() << "\n";
+    return 1;
+  } catch (const std::exception& e) {
+    // Bad flag values (PreconditionError) and anything else the run rejects.
+    std::cerr << e.what() << "\n" << args.usage("choreo_sim");
+    return 2;
+  }
 }

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "agent/measure_cycle.h"
 #include "cloud/cloud.h"
 #include "measure/throughput_matrix.h"
 #include "place/greedy.h"
@@ -25,7 +26,8 @@ int main() {
   measure::MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const place::ClusterView view = measure::measured_cluster_view(cloud, vms, plan, 1);
+  const place::ClusterView view =
+      agent::MeasureCycle(cloud, vms, plan, {}, {}).run(1).view;
 
   // The service: frontend(0), cache(1), replica-A(2), replica-B(3),
   // ingest(4). Heavy frontend<->cache chatter, writes fan to both replicas,

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "agent/measure_cycle.h"
 #include "cloud/cloud.h"
 #include "measure/throughput_matrix.h"
 #include "place/baselines.h"
@@ -68,7 +69,8 @@ int main() {
   measure::MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const place::ClusterView view = measure::measured_cluster_view(cloud, vms, plan, 1);
+  const place::ClusterView view =
+      agent::MeasureCycle(cloud, vms, plan, {}, {}).run(1).view;
 
   // A skewed MapReduce job: 6 maps, 3 reducers, reducer 0 is hot.
   Rng rng(5);

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <string>
 
+#include "agent/measure_cycle.h"
 #include "measure/bottleneck.h"
 #include "measure/calibration.h"
 #include "measure/cross_traffic.h"
@@ -46,10 +47,14 @@ int main(int argc, char** argv) {
   plan.train.bursts = 10;
   plan.train.burst_length = profile.name == "rackspace" ? 2000 : 200;
   plan.workers = 4;  // one round's trains run concurrently (§4.1)
-  const measure::MatrixResult matrix = measure::measure_rate_matrix(cloud, vms, plan, 1);
-  std::cout << "pairwise TCP throughput estimates (Mbit/s), " << matrix.pairs_measured
-            << " pairs in " << matrix.rounds << " conflict-free rounds, "
-            << fmt(matrix.wall_time_s, 0) << " s wall clock:\n";
+  measure::RefreshPolicy policy;
+  policy.max_age_epochs = 4;
+  agent::MeasureCycle cycle(cloud, vms, plan, policy, {});
+  const agent::MeasureCycle::Result full = cycle.run(1);
+  const DoubleMatrix& rates = full.view.rate_bps;
+  std::cout << "pairwise TCP throughput estimates (Mbit/s), " << full.report.pairs_probed
+            << " pairs in " << full.report.rounds << " conflict-free rounds, "
+            << fmt(full.report.wall_time_s, 0) << " s wall clock:\n";
   {
     std::vector<std::string> headers{"src\\dst"};
     for (std::size_t j = 0; j < n_vms; ++j) headers.push_back("vm" + std::to_string(j));
@@ -57,7 +62,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < n_vms; ++i) {
       std::vector<std::string> row{"vm" + std::to_string(i)};
       for (std::size_t j = 0; j < n_vms; ++j) {
-        row.push_back(i == j ? "-" : fmt(to_mbps(matrix.rate_bps(i, j)), 0));
+        row.push_back(i == j ? "-" : fmt(to_mbps(rates(i, j)), 0));
       }
       t.add_row(row);
     }
@@ -66,21 +71,17 @@ int main(int argc, char** argv) {
 
   // --- incremental refresh: keeping the view fresh without re-probing ---
   {
-    measure::ViewCache cache;
-    measure::RefreshPolicy policy;
-    policy.max_age_epochs = 4;
-    const auto full = measure::refresh_cluster_view(cloud, vms, plan, 1, cache, policy);
-    // A few paths looked off (an operator flag, a failed transfer): drop
-    // just those estimates and refresh. Disjoint pairs share rounds, so the
-    // re-probe is cheap; everything else carries over from epoch 1.
-    cache.invalidate(0, 1);
-    cache.invalidate(1, 0);
-    cache.invalidate(2, n_vms - 1);
-    const auto incr = measure::refresh_cluster_view(cloud, vms, plan, 3, cache, policy);
+    // A few paths looked off (an operator flag, a failed transfer): re-probe
+    // just those pairs. Disjoint pairs share rounds, so the re-probe is
+    // cheap; everything else carries over from epoch 1.
+    cycle.require_probe(0, 1);
+    cycle.require_probe(1, 0);
+    cycle.require_probe(2, n_vms - 1);
+    const agent::MeasureReport incr = cycle.run(3).report;
     std::cout << "incremental refresh of 3 flagged paths: " << incr.pairs_probed << "/"
-              << full.pairs_probed << " pairs re-probed in " << incr.rounds
+              << full.report.pairs_probed << " pairs re-probed in " << incr.rounds
               << " round(s), modeled wall clock " << fmt(incr.wall_time_s, 0) << " s vs "
-              << fmt(full.wall_time_s, 0) << " s for a full sweep\n\n";
+              << fmt(full.report.wall_time_s, 0) << " s for a full sweep\n\n";
   }
 
   // --- traceroute topology hints ---
@@ -112,15 +113,15 @@ int main(int argc, char** argv) {
     double worst = 1e30;
     for (std::size_t i = 0; i < n_vms; ++i) {
       for (std::size_t j = 0; j < n_vms; ++j) {
-        if (i != j && matrix.rate_bps(i, j) < worst) {
-          worst = matrix.rate_bps(i, j);
+        if (i != j && rates(i, j) < worst) {
+          worst = rates(i, j);
           worst_i = i;
           worst_j = j;
         }
       }
     }
     const auto series = measure::measure_cross_traffic(
-        cloud, vms[worst_i], vms[worst_j], /*path_rate=*/matrix.rate_bps(worst_i, worst_j),
+        cloud, vms[worst_i], vms[worst_j], /*path_rate=*/rates(worst_i, worst_j),
         /*duration=*/5.0, /*interval=*/0.01, /*epoch=*/3);
     double c_mean = 0.0;
     for (double c : series) c_mean += c;

@@ -66,9 +66,9 @@ struct ForecastOptions {
 /// budgeting, and augments the refreshed ClusterView with forecasts and
 /// uncertainty discounts.
 ///
-/// Lifecycle per measurement cycle (what core::Choreo drives):
+/// Lifecycle per measurement cycle (what agent::MeasureCycle drives):
 ///   1. plan_refresh(cache, epoch, fixed)  — which pairs to probe and why;
-///   2. measure_rate_pairs(...) probes them (the measurement plane's job);
+///   2. the cycle's probe runner sends their trains, round by round;
 ///   3. observe(src, dst, rate, epoch) per probe result — scores every
 ///      predictor against its pre-probe forecast, updates the per-pair
 ///      error tracks and CUSUM, then records the sample into the history;

@@ -1,6 +1,5 @@
 #include "measure/throughput_matrix.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "measure/packet_train.h"
@@ -10,10 +9,11 @@ namespace choreo::measure {
 namespace {
 
 /// Fills the traceroute-derived fields of a tenant view: hop counts and
-/// co-location groups (hop count 1 => same host, §3.3.1), plus CPU
-/// capacities from the instance type.
-void fill_tenant_topology(place::ClusterView& view, cloud::Cloud& cloud,
-                          const std::vector<cloud::VmId>& vms) {
+/// co-location groups, plus CPU capacities from the instance type. VMs i < j
+/// share a group when `same_host(i, j)`; it may read the filled view.hops.
+template <typename SameHost>
+void fill_tenant_topology(place::ClusterView& view, const cloud::Cloud& cloud,
+                          const std::vector<cloud::VmId>& vms, SameHost same_host) {
   const std::size_t n = vms.size();
   view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
   view.hops = DoubleMatrix(n, n, 0.0);
@@ -26,9 +26,7 @@ void fill_tenant_topology(place::ClusterView& view, cloud::Cloud& cloud,
       view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
     }
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (cloud.traceroute_hops(vms[i], vms[j]) == 1) {
-        view.colocation_group[j] = view.colocation_group[i];
-      }
+      if (same_host(i, j)) view.colocation_group[j] = view.colocation_group[i];
     }
   }
 }
@@ -64,88 +62,7 @@ void run_probe_schedule(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms
   }
 }
 
-PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
-                               const std::vector<ProbePair>& pairs,
-                               const MeasurementPlan& plan, std::uint64_t epoch) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  PairsResult out;
-  out.rate_bps.assign(pairs.size(), 0.0);
-  if (pairs.empty()) return out;
-
-  // Input position of each pair, to map scheduled results back.
-  std::unordered_map<std::uint64_t, std::size_t> position;
-  position.reserve(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const std::uint64_t key = pairs[k].src * n + pairs[k].dst;
-    CHOREO_REQUIRE_MSG(position.emplace(key, k).second, "duplicate probe pair");
-  }
-
-  const ProbeSchedule schedule = schedule_probes(n, pairs);
-  run_probe_schedule(cloud, vms, schedule, plan, epoch, [&](const ProbePair& p, double r) {
-    out.rate_bps[position.at(p.src * n + p.dst)] = r;
-  });
-  out.rounds = schedule.rounds.size();
-  out.wall_time_s = measurement_wall_time_s(plan, out.rounds);
-  return out;
-}
-
-MatrixResult measure_rate_matrix(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
-                                 const MeasurementPlan& plan, std::uint64_t epoch) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  const std::vector<ProbePair> pairs = all_ordered_pairs(n);
-  const PairsResult probed = measure_rate_pairs(cloud, vms, pairs, plan, epoch);
-
-  MatrixResult out;
-  out.rate_bps = DoubleMatrix(n, n, 0.0);
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    out.rate_bps(pairs[k].src, pairs[k].dst) = probed.rate_bps[k];
-  }
-  out.pairs_measured = pairs.size();
-  out.rounds = probed.rounds;
-  out.wall_time_s = probed.wall_time_s;
-  return out;
-}
-
-RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
-                                   const std::vector<cloud::VmId>& vms,
-                                   const MeasurementPlan& plan, std::uint64_t epoch,
-                                   ViewCache& cache, const RefreshPolicy& policy) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  cache.resize(n);
-  return refresh_cluster_view_with_plan(cloud, vms, plan, epoch, cache,
-                                        cache.plan_refresh(epoch, policy));
-}
-
-RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
-                                             const std::vector<cloud::VmId>& vms,
-                                             const MeasurementPlan& plan,
-                                             std::uint64_t epoch, ViewCache& cache,
-                                             RefreshPlan probe_plan) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  CHOREO_REQUIRE(cache.vm_count() == n);
-
-  RefreshResult out;
-  out.plan = std::move(probe_plan);
-  if (!out.plan.pairs.empty()) {
-    const PairsResult probed = measure_rate_pairs(cloud, vms, out.plan.pairs, plan, epoch);
-    for (std::size_t k = 0; k < out.plan.pairs.size(); ++k) {
-      cache.store(out.plan.pairs[k].src, out.plan.pairs[k].dst, probed.rate_bps[k],
-                  epoch);
-    }
-    out.pairs_probed = out.plan.pairs.size();
-    out.rounds = probed.rounds;
-    out.wall_time_s = probed.wall_time_s;
-  }
-
-  out.view = cached_cluster_view(cloud, vms, cache, epoch);
-  return out;
-}
-
-place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+place::ClusterView cached_cluster_view(const cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
                                        const ViewCache& cache, std::uint64_t epoch) {
   const std::size_t n = vms.size();
@@ -155,17 +72,11 @@ place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
   view.cross_traffic = DoubleMatrix(n, n, 0.0);
   view.pair_epoch = cache.epochs();
   view.view_epoch = epoch;
-  fill_tenant_topology(view, cloud, vms);
+  // Traceroute's hop count 1 is the tenant's only co-location signal (§3.3.1).
+  fill_tenant_topology(view, cloud, vms, [&](std::size_t i, std::size_t j) {
+    return view.hops(i, j) == 1.0;
+  });
   return view;
-}
-
-place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
-                                         const std::vector<cloud::VmId>& vms,
-                                         const MeasurementPlan& plan,
-                                         std::uint64_t epoch) {
-  // A one-shot full measurement is an incremental refresh of an empty cache.
-  ViewCache cache(vms.size());
-  return refresh_cluster_view(cloud, vms, plan, epoch, cache, RefreshPolicy{}).view;
 }
 
 place::ClusterView true_cluster_view(const cloud::Cloud& cloud,
@@ -191,22 +102,9 @@ place::ClusterView true_cluster_view(const cloud::Cloud& cloud,
   }
   view.cross_traffic = DoubleMatrix(n, n, 0.0);
   view.view_epoch = epoch;
-  view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
-  view.hops = DoubleMatrix(n, n, 0.0);
-  view.colocation_group.assign(n, -1);
-  int next_group = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (view.colocation_group[i] < 0) view.colocation_group[i] = next_group++;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
-    }
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (cloud.vm_host(vms[i]) == cloud.vm_host(vms[j])) {
-        view.colocation_group[j] = view.colocation_group[i];
-      }
-    }
-  }
+  fill_tenant_topology(view, cloud, vms, [&](std::size_t i, std::size_t j) {
+    return cloud.vm_host(vms[i]) == cloud.vm_host(vms[j]);
+  });
   return view;
 }
 

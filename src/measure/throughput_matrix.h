@@ -35,25 +35,6 @@ struct MeasurementPlan {
 /// Modeled wall-clock of a measurement phase that needed `rounds` rounds.
 double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds);
 
-/// Output of one measurement phase over a fleet (§4.1).
-struct MatrixResult {
-  /// Estimated single-connection throughput per ordered VM pair (bits/s);
-  /// diagonal entries are zero.
-  DoubleMatrix rate_bps;
-  /// Wall-clock the measurement would take on the real cloud — the quantity
-  /// behind "less than three minutes for a ten-node topology".
-  double wall_time_s = 0.0;
-  std::size_t pairs_measured = 0;  ///< N * (N - 1) ordered pairs
-  std::size_t rounds = 0;          ///< conflict-free scheduling rounds
-};
-
-/// Output of probing an arbitrary pair subset (the incremental path).
-struct PairsResult {
-  std::vector<double> rate_bps;  ///< parallel to the input pairs
-  double wall_time_s = 0.0;
-  std::size_t rounds = 0;
-};
-
 /// Runs every round of `schedule`: round r's trains run concurrently (on
 /// plan.workers threads) against the epoch + r cross-traffic snapshot, and
 /// each pair's estimated throughput is handed to `on_rate`, round by round.
@@ -62,71 +43,19 @@ void run_probe_schedule(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms
                         std::uint64_t epoch,
                         const std::function<void(const ProbePair&, double)>& on_rate);
 
-/// Probes exactly `pairs`: schedules them into conflict-free rounds, runs
-/// each round's trains concurrently against a per-round cross-traffic
-/// snapshot (round r uses epoch + r), and estimates throughput per pair.
-/// This is the primitive both the full matrix and incremental refreshes are
-/// built on.
-PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
-                               const std::vector<ProbePair>& pairs,
-                               const MeasurementPlan& plan, std::uint64_t epoch);
-
-/// Measures every ordered pair among `vms` with packet trains (§4.1).
-/// `epoch` selects the cloud's cross-traffic snapshot, making repeated
-/// measurements of the same epoch reproducible.
-MatrixResult measure_rate_matrix(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
-                                 const MeasurementPlan& plan, std::uint64_t epoch);
-
-/// Result of refreshing a ClusterView through a ViewCache.
-struct RefreshResult {
-  place::ClusterView view;
-  double wall_time_s = 0.0;
-  std::size_t pairs_probed = 0;  ///< strictly < n(n-1) on incremental cycles
-  std::size_t rounds = 0;
-  RefreshPlan plan;              ///< why each probed pair qualified
-};
-
-/// Incremental measurement cycle (§2.4 re-evaluation, arrivals): probes only
-/// the pairs `cache` flags under `policy` — never measured, stale, or
-/// volatile — stores the estimates back, and rebuilds the ClusterView from
-/// the cache. Unchanged pairs keep their cached estimate bit-for-bit; on an
-/// empty cache this is exactly a full measurement. The view's pair_epoch
-/// records per-pair provenance.
-RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
-                                   const std::vector<cloud::VmId>& vms,
-                                   const MeasurementPlan& plan, std::uint64_t epoch,
-                                   ViewCache& cache, const RefreshPolicy& policy);
-
-/// The same refresh cycle with a caller-supplied probe plan — the primitive
-/// behind refresh_cluster_view (which plans via the cache's fixed policy)
-/// and the forecast plane's PredictivePolicy (which plans by predictability
-/// score). Probes exactly `probe_plan.pairs`, stores the estimates into
-/// `cache` at `epoch`, and rebuilds the ClusterView from the cache.
-/// Requires cache.vm_count() == vms.size().
-RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
-                                             const std::vector<cloud::VmId>& vms,
-                                             const MeasurementPlan& plan,
-                                             std::uint64_t epoch, ViewCache& cache,
-                                             RefreshPlan probe_plan);
-
 /// The tenant's ClusterView as `cache` knows it at `epoch`: the cached rates
 /// with their per-pair provenance, plus traceroute topology (hop counts,
-/// co-location groups) and CPU capacities. Never-measured pairs read 0.
-place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+/// co-location groups where hop count 1 => same host) and CPU capacities.
+/// Never-measured pairs read 0. This is exactly the information Choreo's
+/// placement stage runs on; agent::MeasureCycle rebuilds it every cycle.
+place::ClusterView cached_cluster_view(const cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
                                        const ViewCache& cache, std::uint64_t epoch);
 
-/// Builds the tenant's ClusterView from measurements alone: packet-train
-/// rates, traceroute co-location groups (hop count 1 => same host), CPU
-/// capacities from the instance type. This is exactly the information
-/// Choreo's placement stage runs on.
-place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
-                                         const std::vector<cloud::VmId>& vms,
-                                         const MeasurementPlan& plan, std::uint64_t epoch);
-
-/// Harness helper: the same view built from ground truth (noise-free rates,
-/// true co-location) — what an omniscient tenant would know. Used by tests
-/// and by benches that isolate placement quality from measurement error.
+/// Harness helper: the tenant's ClusterView built from ground truth
+/// (noise-free rates, true co-location) — what an omniscient tenant would
+/// know. Used by tests and by benches that isolate placement quality from
+/// measurement error.
 /// All n(n-1) rates come from one Cloud::true_path_rates_bps batch, so the
 /// view costs one background settle, not one per pair.
 place::ClusterView true_cluster_view(const cloud::Cloud& cloud,

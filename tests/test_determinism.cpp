@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agent/measure_cycle.h"
 #include "core/choreo.h"
 #include "measure/throughput_matrix.h"
 #include "workload/generator.h"
@@ -92,19 +93,19 @@ TEST(Determinism, ParallelProbingMatchesSequentialBitForBit) {
     plan.train.bursts = 5;
     plan.train.burst_length = 100;
     plan.workers = workers;
-    return measure::measure_rate_matrix(c, vms, plan, /*epoch=*/3);
+    return agent::MeasureCycle(c, vms, plan, {}, {}).run(/*epoch=*/3);
   };
-  const measure::MatrixResult seq = measure_with_workers(1);
-  const measure::MatrixResult par = measure_with_workers(4);
-  ASSERT_EQ(seq.rate_bps.rows(), par.rate_bps.rows());
-  EXPECT_TRUE(seq.rate_bps == par.rate_bps);  // exact, not approximate
-  EXPECT_EQ(seq.rounds, par.rounds);
-  EXPECT_EQ(seq.pairs_measured, par.pairs_measured);
-  EXPECT_DOUBLE_EQ(seq.wall_time_s, par.wall_time_s);
+  const agent::MeasureCycle::Result seq = measure_with_workers(1);
+  const agent::MeasureCycle::Result par = measure_with_workers(4);
+  ASSERT_EQ(seq.view.rate_bps.rows(), par.view.rate_bps.rows());
+  EXPECT_TRUE(seq.view.rate_bps == par.view.rate_bps);  // exact, not approximate
+  EXPECT_EQ(seq.report.rounds, par.report.rounds);
+  EXPECT_EQ(seq.report.pairs_probed, par.report.pairs_probed);
+  EXPECT_DOUBLE_EQ(seq.report.wall_time_s, par.report.wall_time_s);
 
   // And again, to pin that the parallel path itself is run-to-run stable.
-  const measure::MatrixResult par2 = measure_with_workers(4);
-  EXPECT_TRUE(par.rate_bps == par2.rate_bps);
+  const agent::MeasureCycle::Result par2 = measure_with_workers(4);
+  EXPECT_TRUE(par.view.rate_bps == par2.view.rate_bps);
 }
 
 TEST(Determinism, ExecutionEpochsMatter) {

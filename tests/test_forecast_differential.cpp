@@ -2,17 +2,23 @@
 // cycle through forecast::PredictivePolicy must leave the DISABLED pipeline
 // bit-identical to the pre-forecast fixed-policy pipeline — same refresh
 // plans, same rate matrices, same placements — over a randomized corpus.
-// The oracle is the still-exposed fixed path itself: a raw ViewCache +
-// measure::refresh_cluster_view + ClusterState/GreedyPlacer loop replaying
-// what core::Choreo::measure_network did before the forecast plane existed,
-// driven against an identically seeded twin cloud.
+// The oracle rebuilds the fixed path from the measurement primitives (a raw
+// ViewCache's plan, conflict-free scheduling, probe rounds, the cached view)
+// plus a ClusterState/GreedyPlacer loop, replaying what
+// core::Choreo::measure_network did before the forecast plane existed,
+// driven against an identically seeded twin cloud. It deliberately does not
+// use agent::MeasureCycle, the code under test.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/choreo.h"
+#include "measure/probe_scheduler.h"
 #include "measure/throughput_matrix.h"
+#include "measure/view_cache.h"
 #include "place/greedy.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -31,22 +37,35 @@ workload::GeneratorConfig small_apps() {
 /// The fixed-policy oracle: the exact measurement + placement loop Choreo
 /// ran before the forecast plane, expressed with the public primitives.
 struct FixedPipelineOracle {
+  FixedPipelineOracle(cloud::Cloud& c, std::vector<cloud::VmId> fleet,
+                      const core::ChoreoConfig& cfg)
+      : cloud(c), vms(std::move(fleet)), config(cfg), cache(vms.size()) {}
+
   cloud::Cloud& cloud;
   std::vector<cloud::VmId> vms;
   core::ChoreoConfig config;
   measure::ViewCache cache;
   std::unique_ptr<place::ClusterState> state;
-  measure::RefreshResult last;
+  // The last cycle: what it planned and what the rounds cost.
+  measure::RefreshPlan plan;
+  std::size_t rounds = 0;
+  double wall_time_s = 0.0;
 
   void measure(std::uint64_t epoch) {
-    last = measure::refresh_cluster_view(cloud, vms, config.plan, epoch, cache,
-                                         config.refresh);
-    if (state && state->machine_count() == last.view.machine_count()) {
-      place::ClusterView copy = last.view;
-      state->update_view(std::move(copy));
+    plan = cache.plan_refresh(epoch, config.refresh);
+    measure::ProbeSchedule schedule;
+    if (!plan.pairs.empty()) schedule = measure::schedule_probes(vms.size(), plan.pairs);
+    measure::run_probe_schedule(cloud, vms, schedule, config.plan, epoch,
+                                [&](const measure::ProbePair& p, double rate) {
+                                  cache.store(p.src, p.dst, rate, epoch);
+                                });
+    rounds = schedule.rounds.size();
+    wall_time_s = measure::measurement_wall_time_s(config.plan, rounds);
+    place::ClusterView view = measure::cached_cluster_view(cloud, vms, cache, epoch);
+    if (state && state->machine_count() == view.machine_count()) {
+      state->update_view(std::move(view));
     } else {
-      place::ClusterView copy = last.view;
-      state = std::make_unique<place::ClusterState>(std::move(copy));
+      state = std::make_unique<place::ClusterState>(std::move(view));
     }
   }
 
@@ -58,74 +77,88 @@ struct FixedPipelineOracle {
   }
 };
 
+/// One corpus case: Choreo with forecasting disabled against the fixed
+/// oracle over ten cycles with interleaved arrivals.
+void expect_disabled_matches_oracle(const cloud::ProviderProfile& profile,
+                                    unsigned workers, std::uint64_t seed, std::size_t n) {
+  // Identically seeded twin clouds: same topology, same VM allocation,
+  // same background realizations per epoch.
+  cloud::Cloud c_sys(profile, seed);
+  cloud::Cloud c_ora(profile, seed);
+  const auto vms_sys = c_sys.allocate_vms(n);
+  const auto vms_ora = c_ora.allocate_vms(n);
+
+  core::ChoreoConfig config;
+  config.plan.train.bursts = 5;
+  config.plan.train.burst_length = 100;
+  config.plan.workers = workers;
+  // Stress the refresh rules: tight staleness, real volatility probing.
+  config.refresh.max_age_epochs = 3;
+  config.refresh.volatility_threshold = 0.2 + 0.1 * static_cast<double>(seed % 3);
+  ASSERT_FALSE(config.forecast.enabled) << "forecast must default off";
+
+  core::Choreo choreo(c_sys, vms_sys, config);
+  FixedPipelineOracle oracle(c_ora, vms_ora, config);
+
+  Rng app_rng(seed * 1000 + n);
+  const workload::GeneratorConfig gen = small_apps();
+
+  for (std::uint64_t epoch = 1; epoch <= 10; ++epoch) {
+    choreo.measure_network(epoch);
+    oracle.measure(epoch);
+
+    // Refresh plans: identical pair sets in identical order, identical
+    // classification counts, surfaced identically in the report.
+    const core::Choreo::MeasureReport& rep = choreo.last_measure();
+    ASSERT_EQ(rep.pairs_probed, oracle.plan.pairs.size());
+    ASSERT_EQ(rep.rounds, oracle.rounds);
+    ASSERT_EQ(rep.wall_time_s, oracle.wall_time_s);
+    ASSERT_EQ(rep.never_measured, oracle.plan.never_measured);
+    ASSERT_EQ(rep.stale, oracle.plan.stale);
+    ASSERT_EQ(rep.volatile_pairs, oracle.plan.volatile_pairs);
+    ASSERT_EQ(rep.predictable_pairs, 0u);
+    ASSERT_EQ(rep.unpredictable_pairs, 0u);
+    ASSERT_EQ(rep.changepoint_pairs, 0u);
+    ASSERT_EQ(rep.predicted_pairs, 0u);
+
+    // Matrices: bit-for-bit, including per-pair provenance.
+    ASSERT_TRUE(choreo.view().rate_bps == oracle.state->view().rate_bps);
+    ASSERT_TRUE(choreo.view().pair_epoch == oracle.state->view().pair_epoch);
+
+    // Interleave arrivals so refresh planning runs against a live,
+    // partially occupied cluster like a real session.
+    if (epoch % 2 == 1) {
+      const place::Application app = workload::generate_app(app_rng, gen);
+      place::Application app_copy = app;
+      const place::Placement p_sys = [&] {
+        try {
+          const auto handle = choreo.place_application(app);
+          return choreo.placement_of(handle);
+        } catch (const place::PlacementError&) {
+          return place::Placement{};
+        }
+      }();
+      place::Placement p_ora;
+      try {
+        p_ora = oracle.place_and_commit(app_copy);
+      } catch (const place::PlacementError&) {
+        p_ora = place::Placement{};
+      }
+      ASSERT_EQ(p_sys.machine_of_task, p_ora.machine_of_task);
+    }
+  }
+}
+
 TEST(ForecastDifferential, DisabledPolicyBitIdenticalToFixedPipeline) {
-  for (const std::uint64_t seed : {11u, 23u, 37u, 51u}) {
-    for (const std::size_t n : {4u, 6u}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) + " n=" + std::to_string(n));
-      // Identically seeded twin clouds: same topology, same VM allocation,
-      // same background realizations per epoch.
-      cloud::Cloud c_sys(cloud::ec2_2013(), seed);
-      cloud::Cloud c_ora(cloud::ec2_2013(), seed);
-      const auto vms_sys = c_sys.allocate_vms(n);
-      const auto vms_ora = c_ora.allocate_vms(n);
-
-      core::ChoreoConfig config;
-      config.plan.train.bursts = 5;
-      config.plan.train.burst_length = 100;
-      // Stress the refresh rules: tight staleness, real volatility probing.
-      config.refresh.max_age_epochs = 3;
-      config.refresh.volatility_threshold = 0.2 + 0.1 * static_cast<double>(seed % 3);
-      ASSERT_FALSE(config.forecast.enabled) << "forecast must default off";
-
-      core::Choreo choreo(c_sys, vms_sys, config);
-      FixedPipelineOracle oracle{c_ora, vms_ora, config, measure::ViewCache{}, nullptr,
-                                 measure::RefreshResult{}};
-
-      Rng app_rng(seed * 1000 + n);
-      const workload::GeneratorConfig gen = small_apps();
-
-      for (std::uint64_t epoch = 1; epoch <= 10; ++epoch) {
-        choreo.measure_network(epoch);
-        oracle.measure(epoch);
-
-        // Refresh plans: identical pair sets in identical order, identical
-        // classification counts, surfaced identically in the report.
-        const core::Choreo::MeasureReport& rep = choreo.last_measure();
-        ASSERT_EQ(rep.pairs_probed, oracle.last.pairs_probed);
-        ASSERT_EQ(rep.rounds, oracle.last.rounds);
-        ASSERT_EQ(rep.wall_time_s, oracle.last.wall_time_s);
-        ASSERT_EQ(rep.never_measured, oracle.last.plan.never_measured);
-        ASSERT_EQ(rep.stale, oracle.last.plan.stale);
-        ASSERT_EQ(rep.volatile_pairs, oracle.last.plan.volatile_pairs);
-        ASSERT_EQ(rep.predictable_pairs, 0u);
-        ASSERT_EQ(rep.unpredictable_pairs, 0u);
-        ASSERT_EQ(rep.changepoint_pairs, 0u);
-        ASSERT_EQ(rep.predicted_pairs, 0u);
-
-        // Matrices: bit-for-bit, including per-pair provenance.
-        ASSERT_TRUE(choreo.view().rate_bps == oracle.state->view().rate_bps);
-        ASSERT_TRUE(choreo.view().pair_epoch == oracle.state->view().pair_epoch);
-
-        // Interleave arrivals so refresh planning runs against a live,
-        // partially occupied cluster like a real session.
-        if (epoch % 2 == 1) {
-          const place::Application app = workload::generate_app(app_rng, gen);
-          place::Application app_copy = app;
-          const place::Placement p_sys = [&] {
-            try {
-              const auto handle = choreo.place_application(app);
-              return choreo.placement_of(handle);
-            } catch (const place::PlacementError&) {
-              return place::Placement{};
-            }
-          }();
-          place::Placement p_ora;
-          try {
-            p_ora = oracle.place_and_commit(app_copy);
-          } catch (const place::PlacementError&) {
-            p_ora = place::Placement{};
-          }
-          ASSERT_EQ(p_sys.machine_of_task, p_ora.machine_of_task);
+  for (const cloud::ProviderProfile& profile :
+       {cloud::ec2_2013(), cloud::ec2_2012(), cloud::rackspace()}) {
+    for (const unsigned workers : {1u, 4u}) {
+      for (const std::uint64_t seed : {11u, 23u, 37u, 51u}) {
+        for (const std::size_t n : {4u, 6u}) {
+          SCOPED_TRACE(profile.name + " workers=" + std::to_string(workers) +
+                       " seed=" + std::to_string(seed) + " n=" + std::to_string(n));
+          expect_disabled_matches_oracle(profile, workers, seed, n);
+          if (HasFatalFailure()) return;
         }
       }
     }

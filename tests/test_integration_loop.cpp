@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agent/measure_cycle.h"
 #include "core/choreo.h"
 #include "core/sflow.h"
 #include "place/baselines.h"
@@ -118,7 +119,8 @@ TEST(ClosedLoop, MeasuredViewCloseToTruthView) {
   measure::MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const place::ClusterView measured = measure::measured_cluster_view(cloud, vms, plan, 1);
+  const place::ClusterView measured =
+      agent::MeasureCycle(cloud, vms, plan, {}, {}).run(1).view;
   const place::ClusterView truth = measure::true_cluster_view(cloud, vms, 1);
   std::vector<double> errors;
   for (std::size_t i = 0; i < vms.size(); ++i) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "agent/measure_cycle.h"
 #include "cloud/cloud.h"
 #include "measure/bottleneck.h"
 #include "measure/calibration.h"
@@ -134,15 +135,16 @@ TEST(MatrixMeasurement, CoversAllPairsWithinMinutes) {
   MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const MatrixResult result = measure_rate_matrix(c, vms, plan, 1);
-  EXPECT_EQ(result.pairs_measured, 20u);
-  EXPECT_EQ(result.rounds, 4u);
+  const agent::MeasureCycle::Result result =
+      agent::MeasureCycle(c, vms, plan, {}, {}).run(1);
+  EXPECT_EQ(result.report.pairs_probed, 20u);
+  EXPECT_EQ(result.report.rounds, 4u);
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       if (i == j) {
-        EXPECT_DOUBLE_EQ(result.rate_bps(i, j), 0.0);
+        EXPECT_DOUBLE_EQ(result.view.rate_bps(i, j), 0.0);
       } else {
-        EXPECT_GT(result.rate_bps(i, j), mbps(100));
+        EXPECT_GT(result.view.rate_bps(i, j), mbps(100));
       }
     }
   }
@@ -165,17 +167,28 @@ TEST(MatrixMeasurement, PairSubsetMatchesScheduleArithmetic) {
   MeasurementPlan plan;
   plan.train.bursts = 5;
   plan.train.burst_length = 100;
+  // After the first sweep nothing is stale or volatile, so a cycle probes
+  // exactly the required pairs.
+  RefreshPolicy policy;
+  policy.refresh_volatile = false;
+  agent::MeasureCycle cycle(c, vms, plan, policy, {});
+  cycle.run(1);
   // Two disjoint pairs plus one sharing a source: max degree 2 -> 2 rounds.
   const std::vector<ProbePair> pairs{{0, 1}, {2, 3}, {0, 4}};
-  const PairsResult result = measure_rate_pairs(c, vms, pairs, plan, 1);
-  ASSERT_EQ(result.rate_bps.size(), 3u);
-  EXPECT_EQ(result.rounds, 2u);
-  EXPECT_DOUBLE_EQ(result.wall_time_s, measurement_wall_time_s(plan, 2));
-  for (double r : result.rate_bps) EXPECT_GT(r, mbps(10));
+  for (const ProbePair& p : pairs) cycle.require_probe(p.src, p.dst);
+  const agent::MeasureCycle::Result result = cycle.run(2);
+  EXPECT_EQ(result.report.pairs_probed, 3u);
+  EXPECT_EQ(result.report.rounds, 2u);
+  EXPECT_DOUBLE_EQ(result.report.wall_time_s, measurement_wall_time_s(plan, 2));
+  for (const ProbePair& p : pairs) {
+    EXPECT_EQ(result.view.pair_epoch(p.src, p.dst), 2u);
+    EXPECT_GT(result.view.rate_bps(p.src, p.dst), mbps(10));
+  }
   // Empty request: free.
-  const PairsResult none = measure_rate_pairs(c, vms, {}, plan, 1);
-  EXPECT_TRUE(none.rate_bps.empty());
-  EXPECT_DOUBLE_EQ(none.wall_time_s, 0.0);
+  const agent::MeasureCycle::Result none = cycle.run(3);
+  EXPECT_EQ(none.report.pairs_probed, 0u);
+  EXPECT_EQ(none.report.rounds, 0u);
+  EXPECT_DOUBLE_EQ(none.report.wall_time_s, 0.0);
 }
 
 TEST(MatrixMeasurement, TrainEstimatesNearTruth) {
@@ -184,13 +197,14 @@ TEST(MatrixMeasurement, TrainEstimatesNearTruth) {
   MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const MatrixResult result = measure_rate_matrix(c, vms, plan, 1);
+  const place::ClusterView measured =
+      agent::MeasureCycle(c, vms, plan, {}, {}).run(1).view;
   const place::ClusterView truth = true_cluster_view(c, vms, 1);
   std::vector<double> errors;
   for (std::size_t i = 0; i < vms.size(); ++i) {
     for (std::size_t j = 0; j < vms.size(); ++j) {
       if (i == j || c.vm_host(vms[i]) == c.vm_host(vms[j])) continue;
-      errors.push_back(relative_error(result.rate_bps(i, j), truth.rate_bps(i, j)));
+      errors.push_back(relative_error(measured.rate_bps(i, j), truth.rate_bps(i, j)));
     }
   }
   ASSERT_FALSE(errors.empty());
@@ -200,20 +214,31 @@ TEST(MatrixMeasurement, TrainEstimatesNearTruth) {
 TEST(ClusterViews, MeasuredAndTrueAgreeOnColocation) {
   cloud::ProviderProfile profile = cloud::ec2_2013();
   profile.colocate_prob = 0.6;  // force some same-host pairs
-  cloud::Cloud c(profile, 29);
-  const auto vms = c.allocate_vms(6);
-  MeasurementPlan plan;
-  plan.train.bursts = 5;
-  plan.train.burst_length = 100;
-  const place::ClusterView measured = measured_cluster_view(c, vms, plan, 1);
-  const place::ClusterView truth = true_cluster_view(c, vms, 1);
-  for (std::size_t i = 0; i < vms.size(); ++i) {
-    for (std::size_t j = 0; j < vms.size(); ++j) {
-      EXPECT_EQ(measured.colocated(i, j), truth.colocated(i, j));
+  std::size_t same_host_pairs = 0;
+  // Seed 29's fleet happens to land on six distinct hosts; seed 30 packs
+  // three of its VMs onto hosts the fleet already uses.
+  for (const std::uint64_t seed : {29u, 30u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    cloud::Cloud c(profile, seed);
+    const auto vms = c.allocate_vms(6);
+    MeasurementPlan plan;
+    plan.train.bursts = 5;
+    plan.train.burst_length = 100;
+    const place::ClusterView measured =
+        agent::MeasureCycle(c, vms, plan, {}, {}).run(1).view;
+    const place::ClusterView truth = true_cluster_view(c, vms, 1);
+    for (std::size_t i = 0; i < vms.size(); ++i) {
+      for (std::size_t j = 0; j < vms.size(); ++j) {
+        const bool same_host = c.vm_host(vms[i]) == c.vm_host(vms[j]);
+        EXPECT_EQ(truth.colocated(i, j), same_host);
+        EXPECT_EQ(measured.colocated(i, j), truth.colocated(i, j));
+        if (i != j && same_host) ++same_host_pairs;
+      }
     }
+    measured.validate();
+    truth.validate();
   }
-  measured.validate();
-  truth.validate();
+  EXPECT_GT(same_host_pairs, 0u) << "no co-located pair: the check above is vacuous";
 }
 
 TEST(InterferenceRules, SourceHose) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "agent/measure_cycle.h"
 #include "cloud/cloud.h"
 #include "measure/throughput_matrix.h"
 #include "measure/view_cache.h"
@@ -174,20 +175,20 @@ TEST(ViewCacheIntegration, IncrementalRefreshProbesFewerAndKeepsFreshPairs) {
   policy.max_age_epochs = 50;  // nothing goes stale between the two cycles
   policy.volatility_threshold = 1e9;  // ignore volatility here
 
-  ViewCache cache;
-  const RefreshResult full = refresh_cluster_view(c, vms, plan, 1, cache, policy);
-  EXPECT_EQ(full.pairs_probed, 30u);
-  EXPECT_EQ(full.rounds, 5u);
-  EXPECT_GT(full.wall_time_s, 0.0);
+  agent::MeasureCycle cycle(c, vms, plan, policy, {});
+  const agent::MeasureCycle::Result full = cycle.run(1);
+  EXPECT_EQ(full.report.pairs_probed, 30u);
+  EXPECT_EQ(full.report.rounds, 5u);
+  EXPECT_GT(full.report.wall_time_s, 0.0);
   full.view.validate();
 
-  // Invalidate a couple of pairs (e.g. flagged by an operator) and refresh.
-  cache.invalidate(0, 1);
-  cache.invalidate(3, 2);
-  const RefreshResult incr = refresh_cluster_view(c, vms, plan, 9, cache, policy);
-  EXPECT_EQ(incr.pairs_probed, 2u);
-  EXPECT_LT(incr.pairs_probed, full.pairs_probed);
-  EXPECT_LT(incr.wall_time_s, full.wall_time_s);
+  // Re-probe a couple of pairs (e.g. flagged by an operator) and refresh.
+  cycle.require_probe(0, 1);
+  cycle.require_probe(3, 2);
+  const agent::MeasureCycle::Result incr = cycle.run(9);
+  EXPECT_EQ(incr.report.pairs_probed, 2u);
+  EXPECT_LT(incr.report.pairs_probed, full.report.pairs_probed);
+  EXPECT_LT(incr.report.wall_time_s, full.report.wall_time_s);
 
   // Unchanged pairs: bit-identical. Re-probed pairs: stamped with the new
   // epoch and re-measured.
@@ -217,12 +218,12 @@ TEST(ViewCacheIntegration, NothingToProbeCostsNothing) {
   RefreshPolicy policy;
   policy.max_age_epochs = 50;
   policy.volatility_threshold = 1e9;
-  ViewCache cache;
-  refresh_cluster_view(c, vms, plan, 1, cache, policy);
-  const RefreshResult again = refresh_cluster_view(c, vms, plan, 2, cache, policy);
-  EXPECT_EQ(again.pairs_probed, 0u);
-  EXPECT_EQ(again.rounds, 0u);
-  EXPECT_DOUBLE_EQ(again.wall_time_s, 0.0);
+  agent::MeasureCycle cycle(c, vms, plan, policy, {});
+  cycle.run(1);
+  const agent::MeasureCycle::Result again = cycle.run(2);
+  EXPECT_EQ(again.report.pairs_probed, 0u);
+  EXPECT_EQ(again.report.rounds, 0u);
+  EXPECT_DOUBLE_EQ(again.report.wall_time_s, 0.0);
   again.view.validate();
 }
 
