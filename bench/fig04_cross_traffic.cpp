@@ -47,7 +47,8 @@ SeriesResult run_experiment(bool cloud_topology, std::size_t pairs, std::uint64_
     c1 = 1e9;
   }
 
-  flowsim::Sim sim(topo);
+  const net::Router router(topo);
+  flowsim::Sim sim(router);
   flowsim::FlowSpec fg;
   fg.src = senders[0];
   fg.dst = receivers[0];

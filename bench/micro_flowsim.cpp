@@ -21,6 +21,11 @@
 //      (bench/true_rate_oracle.h). The batch must be at least 5x faster,
 //      settle exactly once per view and match the per-pair rates bit for
 //      bit.
+//   5. Background settles: Cloud::traffic_snapshot (the fleet's fabric
+//      template copied, flows routed through the cloud's router, ON-OFF
+//      engines built only when a flow toggles) against the eager settle it
+//      replaced (bench/settle_oracle.h). The snapshot must be at least 2x
+//      faster and match the eager one bit for bit.
 //
 // `--smoke` runs a reduced sweep for CI; `--json[=PATH]` emits the metrics
 // as a BenchJson document (gated by bench/check_bench_json.py in CI).
@@ -39,6 +44,7 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
+#include "settle_oracle.h"
 #include "true_rate_oracle.h"
 #include "util/rng.h"
 
@@ -206,7 +212,8 @@ int main(int argc, char** argv) {
     tp.hosts_per_rack = 4;
     const net::Topology topo = net::make_multi_rooted_tree(tp);
     const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
-    flowsim::Sim sim(topo);
+    const net::Router router(topo);
+    flowsim::Sim sim(router);
     Rng trng(7);
     for (int i = 0; i < (smoke ? 32 : 128); ++i) {
       flowsim::FlowSpec spec;
@@ -240,13 +247,14 @@ int main(int argc, char** argv) {
     tp.racks_per_pod = 2;
     tp.hosts_per_rack = 4;
     const net::Topology topo = net::make_multi_rooted_tree(tp);
+    const net::Router router(topo);
     const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
     const std::size_t n_churn = smoke ? 2000 : 20000;
 
     Table ct({"mode", "flows", "wall (ms)", "flows/s"});
     double incr_wall_ms = 0.0, ref_wall_ms = 0.0;
     for (const bool incremental : {true, false}) {
-      flowsim::Sim sim(topo, 400e9,
+      flowsim::Sim sim(router, 400e9,
                        incremental ? flowsim::KernelMode::Incremental
                                    : flowsim::KernelMode::Reference);
       sim.set_auto_retire(incremental);  // reference predates retirement
@@ -339,6 +347,47 @@ int main(int argc, char** argv) {
     check(speedup >= 5.0, "a batched true view is at least 5x faster than per-pair sims");
     check(settles_per_view == 1.0, "a batched true view settles the background once");
     check(mismatches == 0, "batched true rates equal the per-pair rates bit for bit");
+  }
+
+  header(std::string("Background settle: traffic snapshot vs eager settle") +
+         (smoke ? " [smoke]" : ""));
+  {
+    constexpr std::uint64_t kCloudSeed = 20130923;
+    cloud::Cloud cloud(cloud::ec2_2013(), kCloudSeed);
+    cloud.allocate_vms(8);
+    const std::uint64_t settles = smoke ? 40 : 400;
+    double eager_us = 0.0, snapshot_us = 0.0;
+    std::size_t mismatches = 0;
+    for (std::uint64_t epoch = 1; epoch <= settles; ++epoch) {
+      auto t0 = Clock::now();
+      const std::vector<double> eager = oracle_available_bps(cloud, kCloudSeed, epoch);
+      eager_us += us_since(t0);
+      t0 = Clock::now();
+      const cloud::Cloud::TrafficSnapshot snap = cloud.traffic_snapshot(epoch);
+      snapshot_us += us_since(t0);
+      if (snap.available_bps.size() != eager.size() ||
+          std::memcmp(snap.available_bps.data(), eager.data(),
+                      eager.size() * sizeof(double)) != 0) {
+        ++mismatches;
+      }
+    }
+    eager_us /= static_cast<double>(settles);
+    snapshot_us /= static_cast<double>(settles);
+    const double speedup = eager_us / snapshot_us;
+
+    Table st({"settles", "eager (us)", "snapshot (us)", "speed-up", "mismatches"});
+    st.add_row({fmt(static_cast<double>(settles), 0), fmt(eager_us, 1), fmt(snapshot_us, 1),
+                fmt(speedup, 1) + "x", fmt(static_cast<double>(mismatches), 0)});
+    std::cout << st.to_string();
+    json.row()
+        .row("kind", "settle")
+        .row("settles", static_cast<double>(settles))
+        .row("eager_us", eager_us)
+        .row("snapshot_us", snapshot_us)
+        .row("speedup", speedup)
+        .row("mismatches", static_cast<double>(mismatches));
+    check(speedup >= 2.0, "a traffic snapshot is at least 2x faster than the eager settle");
+    check(mismatches == 0, "traffic snapshots equal the eager settle bit for bit");
   }
 
   const std::string json_path = json_path_from_args(argc, argv, "micro_flowsim");

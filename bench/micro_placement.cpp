@@ -255,9 +255,10 @@ void BM_FluidSimTenFlows(benchmark::State& state) {
   params.racks_per_pod = 2;
   params.hosts_per_rack = 4;
   const net::Topology topo = make_multi_rooted_tree(params);
+  const net::Router router(topo);
   const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
   for (auto _ : state) {
-    flowsim::Sim sim(topo);
+    flowsim::Sim sim(router);
     for (std::size_t f = 0; f < 10; ++f) {
       flowsim::FlowSpec spec;
       spec.src = hosts[f % hosts.size()];

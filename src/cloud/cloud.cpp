@@ -40,6 +40,20 @@ Cloud::Cloud(ProviderProfile profile, std::uint64_t seed)
       noise_rng_(substream(seed, 0, 2)) {
   CHOREO_REQUIRE(!profile_.hose_clusters.empty() || profile_.slow_band_weight > 0.0);
   CHOREO_REQUIRE(!hosts_.empty());
+  build_fabric();
+}
+
+void Cloud::build_fabric() {
+  auto fabric = std::make_unique<SimBundle>(router_);
+  fabric->vm_egress.reserve(vms_.size());
+  for (const VmRecord& vm : vms_) {
+    fabric->vm_egress.push_back(fabric->sim.add_resource(vm.hose_bps));
+  }
+  fabric->host_vswitch.assign(topo_.node_count(), static_cast<flowsim::ResourceId>(-1));
+  for (net::NodeId host : hosts_) {
+    fabric->host_vswitch[host] = fabric->sim.add_resource(profile_.vswitch_rate_bps);
+  }
+  fabric_ = std::move(fabric);
 }
 
 double Cloud::draw_hose_rate(Rng& rng) const {
@@ -75,9 +89,9 @@ std::vector<VmId> Cloud::allocate_vms(std::size_t count) {
     }
     const VmId id = vms_.size();
     vms_.push_back(VmRecord{host, draw_hose_rate(alloc_rng_)});
-    host_vms_[host].push_back(id);
     out.push_back(id);
   }
+  build_fabric();
   return out;
 }
 
@@ -113,14 +127,7 @@ double Cloud::ping_rtt_s(VmId a, VmId b) const {
 
 std::unique_ptr<Cloud::SimBundle> Cloud::make_sim(std::uint64_t epoch,
                                                   bool with_background) const {
-  auto bundle = std::make_unique<SimBundle>(topo_);
-  bundle->vm_egress.reserve(vms_.size());
-  for (const VmRecord& vm : vms_) {
-    bundle->vm_egress.push_back(bundle->sim.add_resource(vm.hose_bps));
-  }
-  for (net::NodeId host : hosts_) {
-    bundle->host_vswitch.emplace(host, bundle->sim.add_resource(profile_.vswitch_rate_bps));
-  }
+  auto bundle = std::make_unique<SimBundle>(*fabric_);
   if (with_background) add_background(*bundle, epoch);
   return bundle;
 }
@@ -173,7 +180,7 @@ flowsim::FlowSpec Cloud::tenant_flow(const SimBundle& bundle, VmId src, VmId dst
   spec.start_time = start_s;
   spec.flow_key = flow_key;
   if (vms_[src].host == vms_[dst].host) {
-    spec.extra_resources.push_back(bundle.host_vswitch.at(vms_[src].host));
+    spec.extra_resources.push_back(bundle.host_vswitch[vms_[src].host]);
   } else {
     spec.extra_resources.push_back(bundle.vm_egress[src]);
   }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -191,13 +190,17 @@ class Cloud {
 
   /// A fluid simulation of this cloud with per-VM hose resources, per-host
   /// vswitch resources and (optionally) background tenant flows installed.
+  /// Its flows route through the cloud's router, so it must not outlive the
+  /// cloud.
   struct SimBundle {
-    explicit SimBundle(const net::Topology& topo) : sim(topo) {}
+    explicit SimBundle(const net::Router& router) : sim(router) {}
     flowsim::Sim sim;
-    std::vector<flowsim::ResourceId> vm_egress;                       ///< per VmId
-    std::unordered_map<net::NodeId, flowsim::ResourceId> host_vswitch;
+    std::vector<flowsim::ResourceId> vm_egress;     ///< per VmId
+    std::vector<flowsim::ResourceId> host_vswitch;  ///< per net::NodeId (hosts only)
   };
 
+  /// A copy of the fleet's fabric template (links, VM hoses and vswitches,
+  /// built once per allocate_vms) with the epoch's background added.
   std::unique_ptr<SimBundle> make_sim(std::uint64_t epoch, bool with_background = true) const;
 
   /// FlowSpec for a tenant flow inside a SimBundle's sim: resolves hosts,
@@ -212,6 +215,8 @@ class Cloud {
   };
 
   double draw_hose_rate(Rng& rng) const;
+  /// Rebuilds fabric_ for the current fleet.
+  void build_fabric();
   void add_background(SimBundle& bundle, std::uint64_t epoch) const;
   /// make_sim(epoch) run to kBackgroundSettleS: the epoch's background in
   /// the state every snapshot and ground-truth rate of that epoch reads.
@@ -234,7 +239,9 @@ class Cloud {
   net::Router router_;
   std::vector<net::NodeId> hosts_;
   std::vector<VmRecord> vms_;
-  std::unordered_map<net::NodeId, std::vector<VmId>> host_vms_;
+  /// The resource table every make_sim copies: link resources, then one hose
+  /// per VM, then one vswitch per host, and no flows.
+  std::unique_ptr<const SimBundle> fabric_;
   Rng alloc_rng_;
   Rng noise_rng_;
   std::uint64_t epoch_counter_ = 1;

@@ -18,12 +18,6 @@ ResourceId MaxMinKernel::add_resource(double capacity_bps) {
   capacity_.push_back(capacity_bps);
   label_.push_back(id);  // fresh resources are their own singleton component
   label_dirty_.push_back(0);
-  uf_parent_.push_back(0);
-  res_stamp_.push_back(0);
-  remaining_.push_back(0.0);
-  load_.push_back(0);
-  rev_begin_.push_back(0);
-  rev_fill_.push_back(0);
   return id;
 }
 
@@ -135,6 +129,18 @@ const std::vector<std::size_t>& MaxMinKernel::recompute() {
   region_flows_.clear();
   if (!dirty_) return region_flows_;
   ++epoch_;
+  // Per-resource scratch is sized here rather than in add_resource, so a
+  // kernel that holds only a resource table (the cloud's fabric template)
+  // stays small.
+  if (res_stamp_.size() < capacity_.size()) {
+    const std::size_t n = capacity_.size();
+    uf_parent_.resize(n);
+    res_stamp_.resize(n);
+    remaining_.resize(n);
+    load_.resize(n);
+    rev_begin_.resize(n);
+    rev_fill_.resize(n);
+  }
 
   // 1. Region = every active flow in a dirty component. An active flow's
   // resources either all share one label, or (for flows activated since the

@@ -56,6 +56,7 @@ class MaxMinKernel {
   /// Changes a capacity and marks the resource's component dirty.
   void set_capacity(ResourceId id, double capacity_bps);
   double capacity(ResourceId id) const { return capacity_[id]; }
+  const std::vector<double>& capacities() const { return capacity_; }
   std::size_t resource_count() const { return capacity_.size(); }
 
   /// Registers a flow's (immutable) resource row; the flow starts inactive.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/require.h"
+#include "util/rng.h"
 
 namespace choreo::flowsim {
 namespace {
@@ -11,32 +12,32 @@ namespace {
 constexpr double kByteEpsilon = 1e-3;
 /// Relative time slack when comparing an event time with a completion time.
 constexpr double kTimeEpsilon = 1e-12;
+
+/// An ON-OFF holding time with mean `mean`, drawn from `bits` as
+/// Rng::exponential draws it.
+template <class Bits>
+double holding_time(Bits& bits, double mean) {
+  return std::exponential_distribution<double>(1.0 / mean)(bits);
+}
 }  // namespace
 
-Sim::Sim(const net::Topology& topo, double unconstrained_rate, KernelMode mode)
-    : topo_(topo),
-      router_(topo),
+Sim::Sim(const net::Router& router, double unconstrained_rate, KernelMode mode)
+    : router_(router),
       unconstrained_rate_(unconstrained_rate),
       mode_(mode),
       kernel_(unconstrained_rate) {
   CHOREO_REQUIRE(unconstrained_rate > 0.0);
-  resource_capacity_.reserve(topo.link_count());
-  for (const net::Link& l : topo.links()) {
-    resource_capacity_.push_back(l.capacity_bps);
-    kernel_.add_resource(l.capacity_bps);
-  }
+  for (const net::Link& l : router.topology().links()) kernel_.add_resource(l.capacity_bps);
 }
 
 ResourceId Sim::add_resource(double capacity_bps) {
   CHOREO_REQUIRE(capacity_bps > 0.0);
-  resource_capacity_.push_back(capacity_bps);
   return kernel_.add_resource(capacity_bps);
 }
 
 void Sim::set_resource_capacity(ResourceId id, double capacity_bps) {
-  CHOREO_REQUIRE(id < resource_capacity_.size());
+  CHOREO_REQUIRE(id < kernel_.resource_count());
   CHOREO_REQUIRE(capacity_bps > 0.0);
-  resource_capacity_[id] = capacity_bps;
   kernel_.set_capacity(id, capacity_bps);
   dirty_ = true;
 }
@@ -44,7 +45,7 @@ void Sim::set_resource_capacity(ResourceId id, double capacity_bps) {
 FlowId Sim::add_flow(const FlowSpec& spec) {
   CHOREO_REQUIRE(spec.bytes > 0.0);
   CHOREO_REQUIRE(spec.start_time >= now_);
-  for (ResourceId r : spec.extra_resources) CHOREO_REQUIRE(r < resource_capacity_.size());
+  for (ResourceId r : spec.extra_resources) CHOREO_REQUIRE(r < kernel_.resource_count());
   FlowState st;
   st.spec = spec;
   if (spec.src != spec.dst) {
@@ -78,16 +79,17 @@ FlowId Sim::add_on_off_flow(const FlowSpec& spec, double mean_on_s, double mean_
   const FlowId id = add_flow(persistent);
   flows_[id].on = start_on;
   onoff_index_[id] = static_cast<int>(onoff_.size());
-  onoff_.push_back(OnOffState{mean_on_s, mean_off_s, Rng(seed)});
-  // First toggle: holding time of the initial state.
-  OnOffState& oo = onoff_.back();
-  const double hold = oo.rng.exponential(start_on ? mean_on_s : mean_off_s);
+  onoff_.push_back(OnOffState{mean_on_s, mean_off_s, seed});
+  // First toggle: holding time of the initial state, from the engine's first
+  // output without the engine.
+  OneShotBits first(mt19937_64_first_output(seed));
+  const double hold = holding_time(first, start_on ? mean_on_s : mean_off_s);
   push_event(spec.start_time + hold, Event::Kind::Toggle, id);
   return id;
 }
 
 double Sim::probe_rate(const FlowSpec& spec) {
-  for (ResourceId r : spec.extra_resources) CHOREO_REQUIRE(r < resource_capacity_.size());
+  for (ResourceId r : spec.extra_resources) CHOREO_REQUIRE(r < kernel_.resource_count());
   // Settle pending events' rates first: the probe's recompute would consume
   // their dirt without writing their FlowState rates.
   if (dirty_) reallocate();
@@ -172,7 +174,7 @@ void Sim::reallocate_reference() {
     ids.push_back(id);
   }
   const std::vector<double> rates =
-      max_min_rates(resource_capacity_, usage, unconstrained_rate_);
+      max_min_rates(kernel_.capacities(), usage, unconstrained_rate_);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     FlowState& f = flows_[ids[i]];
     f.rate_bps = std::min(rates[i], f.spec.rate_cap);
@@ -267,8 +269,13 @@ void Sim::run_until(double t_end) {
         case Event::Kind::Toggle: {
           FlowState& f = flows_[ev.index];
           OnOffState& oo = onoff_[static_cast<std::size_t>(onoff_index_[ev.index])];
+          if (oo.engine == kNoEngine) {
+            oo.engine = engines_.size();
+            engines_.emplace_back(oo.seed).discard(1);  // read by the first hold
+          }
           f.on = !f.on;
-          const double hold = oo.rng.exponential(f.on ? oo.mean_on : oo.mean_off);
+          const double hold =
+              holding_time(engines_[oo.engine], f.on ? oo.mean_on : oo.mean_off);
           push_event(now_ + hold, Event::Kind::Toggle, ev.index);
           if (f.started && !f.finished) {
             if (f.on) {
@@ -326,7 +333,7 @@ const FlowState& Sim::flow(FlowId id) const {
 std::size_t Sim::active_flow_count() const { return kernel_.active_flows().size(); }
 
 std::vector<Sim::LinkLoad> Sim::link_loads() const {
-  std::vector<LinkLoad> loads(topo_.link_count());
+  std::vector<LinkLoad> loads(router_.topology().link_count());
   for (FlowId id : kernel_.active_flows()) {
     const FlowState& f = flows_[id];
     if (f.rate_bps <= 0.0) continue;

@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "flowsim/max_min_kernel.h"
 #include "net/routing.h"
 #include "net/topology.h"
-#include "util/rng.h"
 
 namespace choreo::flowsim {
 
@@ -84,11 +84,18 @@ enum class KernelMode {
 /// flow/resource sharing graph an event touched, and recompute scratch is
 /// reused so no allocations happen once warm (bench/micro_flowsim measures
 /// all three).
+///
+/// Flows route through a caller-owned `net::Router` (which must outlive the
+/// Sim): every simulation of one fabric shares that router's distance cache.
+/// A Sim is copyable, and a copy continues exactly as the original would; the
+/// cloud layer builds its resource table once and copies it into every
+/// simulation it runs.
 class Sim {
  public:
-  /// `unconstrained_rate` is the rate given to flows that cross no resource
-  /// at all (e.g., two tasks co-located on one machine with no vswitch cap).
-  explicit Sim(const net::Topology& topo, double unconstrained_rate = 400e9,
+  /// Link resources mirror `router.topology()`'s links. `unconstrained_rate`
+  /// is the rate given to flows that cross no resource at all (e.g., two
+  /// tasks co-located on one machine with no vswitch cap).
+  explicit Sim(const net::Router& router, double unconstrained_rate = 400e9,
                KernelMode mode = KernelMode::Incremental);
 
   /// Registers a shared resource (e.g., a hose-model egress cap). Returned
@@ -104,7 +111,10 @@ class Sim {
   /// Adds a persistent ON-OFF background flow (§3.2's "ON-OFF model [2]
   /// whose transition time follows an exponential distribution"). The flow
   /// alternates between transmitting (backlogged) and silent, with both state
-  /// holding times drawn exponentially with mean `mean_on_s`/`mean_off_s`.
+  /// holding times drawn exponentially with mean `mean_on_s`/`mean_off_s`
+  /// from `std::mt19937_64(seed)`. The first holding time is computed from
+  /// the engine's first output alone (mt19937_64_first_output); the engine
+  /// itself is built only if the flow's first toggle fires.
   FlowId add_on_off_flow(const FlowSpec& spec, double mean_on_s, double mean_off_s,
                          bool start_on, std::uint64_t seed);
 
@@ -181,10 +191,14 @@ class Sim {
     std::function<void(double)> fn;
   };
 
+  static constexpr std::size_t kNoEngine = static_cast<std::size_t>(-1);
+
   struct OnOffState {
     double mean_on;
     double mean_off;
-    Rng rng;
+    std::uint64_t seed;
+    /// Index into engines_, or kNoEngine before the first toggle.
+    std::size_t engine = kNoEngine;
   };
 
   void push_event(double time, Event::Kind kind, std::size_t index);
@@ -204,18 +218,19 @@ class Sim {
   double next_completion() const;
   void finish_due_flows();
 
-  const net::Topology& topo_;
-  net::Router router_;
+  const net::Router& router_;
   double unconstrained_rate_;
   KernelMode mode_;
   double now_ = 0.0;
   std::uint64_t event_seq_ = 0;
 
-  std::vector<double> resource_capacity_;  // [0, link_count) mirror links
   std::vector<FlowState> flows_;
   MaxMinKernel kernel_;  // incidence + active-flow index + incremental rates
   std::vector<OnOffState> onoff_;           // parallel to flows_ (inactive slots unused)
   std::vector<int> onoff_index_;            // flow id -> index into onoff_, or -1
+  /// ON-OFF engines, each advanced past the output its flow's first holding
+  /// time read; built at that flow's first toggle.
+  std::vector<std::mt19937_64> engines_;
   std::vector<Sampler> samplers_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   bool dirty_ = true;  // rates need recomputation

@@ -6,7 +6,7 @@
 namespace choreo::net {
 namespace {
 
-constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint8_t kUnreachable = std::numeric_limits<std::uint8_t>::max();
 
 /// SplitMix64: cheap, well-mixed deterministic hash for ECMP choices.
 std::uint64_t mix(std::uint64_t x) {
@@ -20,14 +20,14 @@ std::uint64_t mix(std::uint64_t x) {
 
 Router::Router(const Topology& topo) : topo_(topo) {}
 
-const std::vector<std::uint32_t>& Router::distances_to(NodeId dst) const {
+const std::vector<std::uint8_t>& Router::distances_to(NodeId dst) const {
   // unordered_map node storage keeps returned references stable across later
   // insertions, so callers may keep reading after the lock is released.
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   auto it = dist_cache_.find(dst);
   if (it != dist_cache_.end()) return it->second;
 
-  std::vector<std::uint32_t> dist(topo_.node_count(), kUnreachable);
+  std::vector<std::uint8_t> dist(topo_.node_count(), kUnreachable);
   dist[dst] = 0;
   std::deque<NodeId> queue{dst};
   while (!queue.empty()) {
@@ -39,7 +39,10 @@ const std::vector<std::uint32_t>& Router::distances_to(NodeId dst) const {
       const Link& l = topo_.link(lid);
       const NodeId v = l.dst;
       if (dist[v] == kUnreachable) {
-        dist[v] = dist[u] + 1;
+        CHOREO_REQUIRE_MSG(dist[u] + 1 < kUnreachable,
+                           "topology too deep for 8-bit hop counts: node "
+                               << v << " lies " << dist[u] + 1 << " hops from node " << dst);
+        dist[v] = static_cast<std::uint8_t>(dist[u] + 1);
         queue.push_back(v);
       }
     }

@@ -32,11 +32,19 @@ struct Route {
 ///
 /// Thread safety: `route` and `hop_count` may be called concurrently from
 /// multiple threads (the measurement plane runs one round's packet trains on
-/// a worker pool); the BFS distance cache is guarded by a mutex and entries
-/// are reference-stable once inserted.
+/// a worker pool, and every fluid simulation of a cloud routes through that
+/// cloud's one Router); the BFS distance cache is guarded by a mutex and
+/// entries are reference-stable once inserted.
+///
+/// Distances are cached as 8-bit hop counts, one byte per node per
+/// destination: a topology in which some node lies 255 or more hops from a
+/// destination it can reach is rejected with PreconditionError when that
+/// destination is first routed to.
 class Router {
  public:
   explicit Router(const Topology& topo);
+
+  const Topology& topology() const { return topo_; }
 
   /// Shortest route from src to dst; `flow_key` selects among ECMP paths.
   /// Throws PreconditionError if dst is unreachable from src.
@@ -47,11 +55,11 @@ class Router {
 
  private:
   /// BFS distances from every node to `dst` (computed on demand, cached).
-  const std::vector<std::uint32_t>& distances_to(NodeId dst) const;
+  const std::vector<std::uint8_t>& distances_to(NodeId dst) const;
 
   const Topology& topo_;
   mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<NodeId, std::vector<std::uint32_t>> dist_cache_;
+  mutable std::unordered_map<NodeId, std::vector<std::uint8_t>> dist_cache_;
 };
 
 }  // namespace choreo::net

@@ -9,6 +9,33 @@
 
 namespace choreo {
 
+/// The first output of `std::mt19937_64(seed)`, without building the
+/// engine's 312-word state. That output tempers the first twist step, which
+/// reads state words 0, 1 and 156 only; seeding fills the words in order, so
+/// 156 seeding steps stand in for 311 plus a 312-word twist.
+std::uint64_t mt19937_64_first_output(std::uint64_t seed);
+
+/// A uniform random bit generator over the full 64-bit range, as
+/// `std::mt19937_64` is, that yields one given value. Fed a precomputed
+/// engine output (mt19937_64_first_output), a standard distribution that
+/// draws once returns exactly what it would have returned from the engine.
+class OneShotBits {
+ public:
+  using result_type = std::uint64_t;
+  explicit OneShotBits(result_type bits) : bits_(bits) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() {
+    CHOREO_ASSERT_MSG(!drawn_, "OneShotBits drawn twice");
+    drawn_ = true;
+    return bits_;
+  }
+
+ private:
+  result_type bits_;
+  bool drawn_ = false;
+};
+
 /// Deterministic pseudo-random source used by every stochastic component.
 ///
 /// All simulators, workload generators and placement baselines take an `Rng&`

@@ -18,11 +18,13 @@ endfunction()
 
 set(usage "usage: choreo_sim")
 
-# A good run: the harness itself accepts a clean exit.
+# Good runs: the harness itself accepts a clean exit. The default batch run
+# (seed 1) first samples a workload the fleet cannot hold and resamples it.
 expect_exit(0 "" --seed 7)
+expect_exit(0 "")
 
-# The default batch run (seed 1) samples a workload no placement can fit.
-expect_exit(1 "no feasible placement: ")
+# No draw of 40 applications fits 10 VMs.
+expect_exit(1 "no feasible placement: " --apps 40)
 expect_exit(2 "${usage}" --vms 1)
 expect_exit(2 "${usage}" --vms -3)
 expect_exit(2 "${usage}" --vms abc)

@@ -24,7 +24,8 @@ Topology two_hosts(double rate = 1e9) {
 
 TEST(FlowSim, SingleFlowCompletionTime) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 1;
@@ -40,7 +41,8 @@ TEST(FlowSim, TwoFlowsShareThenSpeedUp) {
   // Two equal flows on one 1G link: the first half transfers at 500 Mbit/s
   // each; when the smaller one finishes, the bigger accelerates.
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec small;
   small.src = 0;
   small.dst = 1;
@@ -58,7 +60,8 @@ TEST(FlowSim, TwoFlowsShareThenSpeedUp) {
 
 TEST(FlowSim, StaggeredArrival) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec first;
   first.src = 0;
   first.dst = 1;
@@ -77,7 +80,8 @@ TEST(FlowSim, StaggeredArrival) {
 
 TEST(FlowSim, ExtraResourceHoseCap) {
   const Topology t = two_hosts(10e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   const ResourceId hose = sim.add_resource(1e9);
   FlowSpec a;
   a.src = 0;
@@ -95,7 +99,8 @@ TEST(FlowSim, ExtraResourceHoseCap) {
 
 TEST(FlowSim, RateCapRespected) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 1;
@@ -113,7 +118,8 @@ TEST(FlowSim, RateCapDoesNotRedistribute) {
   // 500M fair share, not 900M. Cap-aware redistribution is flagged as future
   // work in docs/ARCHITECTURE.md; this test pins the current contract.
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec capped;
   capped.src = 0;
   capped.dst = 1;
@@ -133,7 +139,8 @@ TEST(FlowSim, RateCapDoesNotRedistribute) {
 TEST(FlowSim, IntraHostFlowUsesUnconstrainedRate) {
   Topology t;
   t.add_node(NodeKind::Host, "a");
-  Sim sim(t, /*unconstrained_rate=*/8e9);
+  const net::Router router(t);
+  Sim sim(router, /*unconstrained_rate=*/8e9);
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 0;
@@ -145,7 +152,8 @@ TEST(FlowSim, IntraHostFlowUsesUnconstrainedRate) {
 
 TEST(FlowSim, PersistentFlowAccumulatesBytes) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 1;
@@ -159,7 +167,8 @@ TEST(FlowSim, PersistentFlowAccumulatesBytes) {
 
 TEST(FlowSim, SamplerSeesEvolvingRates) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec probe;
   probe.src = 0;
   probe.dst = 1;
@@ -179,7 +188,8 @@ TEST(FlowSim, SamplerSeesEvolvingRates) {
 
 TEST(FlowSim, OnOffFlowTogglesLoad) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec probe;
   probe.src = 0;
   probe.dst = 1;
@@ -202,7 +212,8 @@ TEST(FlowSim, OnOffFlowTogglesLoad) {
 
 TEST(FlowSim, MakespanTracksLastCompletion) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 1;
@@ -216,7 +227,8 @@ TEST(FlowSim, MakespanTracksLastCompletion) {
 
 TEST(FlowSim, RunToCompletionRequiresFiniteFlow) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 1;
@@ -227,7 +239,8 @@ TEST(FlowSim, RunToCompletionRequiresFiniteFlow) {
 
 TEST(FlowSim, ArrivalBeforeNowRejected) {
   const Topology t = two_hosts(1e9);
-  Sim sim(t);
+  const net::Router router(t);
+  Sim sim(router);
   sim.run_until(5.0);
   FlowSpec spec;
   spec.src = 0;

@@ -205,8 +205,9 @@ void run_sim_corpus(std::uint64_t corpus_seed, SimCoverage& cov) {
   const Topology topo = net::make_multi_rooted_tree(tp);
   const std::vector<NodeId> hosts = topo.nodes_of_kind(NodeKind::Host);
 
-  Sim inc(topo, 400e9, KernelMode::Incremental);
-  Sim ref(topo, 400e9, KernelMode::Reference);
+  const net::Router router(topo);
+  Sim inc(router, 400e9, KernelMode::Incremental);
+  Sim ref(router, 400e9, KernelMode::Reference);
 
   // A few hose-style extra resources, mirrored into both sims.
   std::vector<ResourceId> hoses;
@@ -473,8 +474,9 @@ TEST(SimRetire, AutoRetireKeepsOutcomesIdentical) {
   const Topology topo = net::make_multi_rooted_tree(tp);
   const std::vector<NodeId> hosts = topo.nodes_of_kind(NodeKind::Host);
 
-  Sim inc(topo, 400e9, KernelMode::Incremental);
-  Sim ref(topo, 400e9, KernelMode::Reference);
+  const net::Router router(topo);
+  Sim inc(router, 400e9, KernelMode::Incremental);
+  Sim ref(router, 400e9, KernelMode::Reference);
   inc.set_auto_retire(true);  // reference keeps everything: outcomes must match
 
   Rng rng(1234);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "util/stats.h"
@@ -121,6 +123,34 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (child.uniform(0, 1) != b.uniform(0, 1)) differs = true;
   }
   EXPECT_TRUE(differs);
+}
+
+TEST(Rng, FirstOutputWithoutTheEngineMatchesMt19937_64) {
+  std::vector<std::uint64_t> seeds = {0,         1,           2,       5489,
+                                      ~0ULL,     ~0ULL - 1,   1ULL << 63,
+                                      1ULL << 31, (1ULL << 31) - 1};
+  std::mt19937_64 seed_source(2013);
+  while (seeds.size() < 12000) seeds.push_back(seed_source());
+  for (std::uint64_t seed : seeds) {
+    ASSERT_EQ(mt19937_64_first_output(seed), std::mt19937_64(seed)()) << "seed " << seed;
+  }
+}
+
+// An exponential drawn through OneShotBits from the engine's first output is
+// the double Rng::exponential draws from the engine itself, bit for bit.
+TEST(Rng, OneShotBitsFeedsADistributionExactlyAsTheEngineWould) {
+  std::mt19937_64 seed_source(7);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t seed = i == 0 ? 0 : i == 1 ? ~0ULL : seed_source();
+    const double mean = 1e-4 * (1 + i % 7);
+    OneShotBits first(mt19937_64_first_output(seed));
+    const double cheap = std::exponential_distribution<double>(1.0 / mean)(first);
+    const double eager = Rng(seed).exponential(mean);
+    ASSERT_EQ(std::memcmp(&cheap, &eager, sizeof cheap), 0) << "seed " << seed;
+  }
+  OneShotBits once(42);
+  EXPECT_EQ(once(), 42u);
+  EXPECT_THROW(once(), InvariantError);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+
+#include "cloud/cloud.h"
 
 namespace choreo::net {
 namespace {
@@ -95,6 +98,73 @@ TEST(Router, UnreachableThrows) {
   const Router r(t);
   EXPECT_THROW(r.route(a, b, 0), PreconditionError);
   EXPECT_THROW(r.hop_count(a, b), PreconditionError);
+}
+
+/// `n` nodes in a line: node i links to node i + 1.
+Topology chain(std::size_t n) {
+  Topology t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.add_node(NodeKind::Host, std::to_string(i));
+    if (i > 0) t.add_duplex_link(i - 1, i, 1e9, 1e-6);
+  }
+  return t;
+}
+
+// Hop counts are cached in 8 bits: 254 hops is the deepest a topology may
+// go, and one node further is rejected rather than wrapped.
+TEST(Router, ChainAtTheDepthLimitRoutesAndOneDeeperIsRejected) {
+  const Topology deepest = chain(255);
+  const Router r(deepest);
+  EXPECT_EQ(r.hop_count(0, 254), 254u);
+  EXPECT_EQ(r.route(254, 0, 3).links.size(), 254u);
+  EXPECT_EQ(r.hop_count(100, 101), 1u);
+
+  const Topology too_deep = chain(256);
+  const Router deep(too_deep);
+  EXPECT_THROW(deep.route(0, 255, 0), PreconditionError);
+  // Any destination whose BFS reaches 255 hops is rejected, even for a
+  // source next door.
+  EXPECT_THROW(deep.hop_count(1, 0), PreconditionError);
+  EXPECT_EQ(deep.hop_count(128, 129), 1u);
+}
+
+// Every fluid simulation of a Cloud routes through the Cloud's one Router.
+// Its routes, background and tenant flows alike, must be exactly those of a
+// private Router on the same fabric — also once the shared distance cache is
+// warm from earlier epochs, trains and ground truth.
+TEST(Router, CloudSimsRouteEveryFlowAsAPrivateRouterDoes) {
+  for (const cloud::ProviderProfile& profile :
+       {cloud::ec2_2013(), cloud::ec2_2012(), cloud::rackspace()}) {
+    cloud::Cloud c(profile, 61);
+    const auto vms = c.allocate_vms(8);
+    const Router fresh(c.topology());
+    std::size_t checked = 0;
+    for (std::uint64_t epoch : {1, 2, 3}) {
+      const auto bundle = c.make_sim(epoch);
+      for (cloud::VmId a : vms) {
+        for (cloud::VmId b : vms) {
+          if (a == b) continue;
+          bundle->sim.add_flow(
+              c.tenant_flow(*bundle, a, b, 1e6, 0.0, 97 * a + b + 1000 * epoch));
+        }
+      }
+      for (flowsim::FlowId f = 0; f < bundle->sim.flow_count(); ++f) {
+        const flowsim::FlowState& st = bundle->sim.flow(f);
+        if (st.spec.src == st.spec.dst) {
+          EXPECT_TRUE(st.route.empty());
+          continue;
+        }
+        const Route expected = fresh.route(st.spec.src, st.spec.dst, st.spec.flow_key);
+        EXPECT_EQ(st.route.nodes, expected.nodes) << profile.name << " flow " << f;
+        EXPECT_EQ(st.route.links, expected.links) << profile.name << " flow " << f;
+        ++checked;
+      }
+      // Warm the shared cache further before the next epoch.
+      c.traffic_snapshot(epoch + 10);
+      c.true_path_rates_bps({{vms[0], vms[1]}}, epoch + 10);
+    }
+    EXPECT_GE(checked, 3 * profile.bg_flow_count);
+  }
 }
 
 }  // namespace

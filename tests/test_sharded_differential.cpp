@@ -104,12 +104,14 @@ std::vector<place::Application> draw_apps(Rng& rng, std::size_t count) {
     place::Application app;
     const double flavor = rng.uniform(0.0, 1.0);
     if (flavor < 0.15) {
-      app.name = "chat" + std::to_string(i);
+      app.name = "chat";
+      app.name += std::to_string(i);
       app.cpu_demand = {0.5, 0.5};
       app.traffic_bytes = DoubleMatrix(2, 2, 0.0);
       app.traffic_bytes(0, 1) = 1e3;
     } else if (flavor < 0.45) {
-      app.name = "fat" + std::to_string(i);
+      app.name = "fat";
+      app.name += std::to_string(i);
       app.cpu_demand = {4.0, 4.0, 4.0};
       app.traffic_bytes = DoubleMatrix(3, 3, 0.0);
       app.traffic_bytes(0, 1) = gigabytes(rng.uniform(3.0, 8.0));
@@ -154,7 +156,8 @@ World build_world(const WorldSpec& spec) {
   w.vectors.reserve(spec.tenants);  // VectorArrivalStream is non-owning
   for (std::size_t i = 0; i < spec.tenants; ++i) {
     TenantSpec tenant;
-    tenant.name = "t" + std::to_string(i);
+    tenant.name = "t";
+    tenant.name += std::to_string(i);
     tenant.vms = w.cloud->allocate_vms(spec.vms_per_tenant);
     tenant.config.choreo.use_measured_view = spec.use_measured_view;
     tenant.config.choreo.plan.train.bursts = 3;

@@ -7,7 +7,9 @@
 // settle instant. The batch must equal it bit for bit on every ordered
 // pair, over all three provider profiles, colocated pairs, background
 // toggles inside the settle window, dense capped backgrounds, and
-// concurrent batches on one Cloud.
+// concurrent batches on one Cloud. The settle itself is pinned against the
+// eager settle it replaced (bench/settle_oracle.h) and, on a background that
+// toggles throughout the window, against hexfloat goldens.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/trace.h"
+#include "settle_oracle.h"
 #include "true_rate_oracle.h"
 #include "util/rng.h"
 
@@ -143,6 +146,123 @@ TEST(TrueRates, BackgroundTogglesInsideTheSettleWindow) {
   Coverage cov;
   EXPECT_EQ(sweep(profile, {5}, {1, 2, 3}, 8, cov), 0u);
   EXPECT_GT(cov.link_limited, cov.pairs / 4);
+}
+
+/// ec2_2013 on a 2 Gbit/s fabric whose background holds ON ~0.2 ms and OFF
+/// ~0.3 ms: most flows toggle several times inside the 1 ms settle, so the
+/// settle builds most flows' engines and draws past their first output.
+ProviderProfile toggling_profile() {
+  ProviderProfile profile = thin_fabric(cloud::ec2_2013(), 2e9);
+  profile.bg_flow_count = 60;
+  profile.bg_rate_cap_bps = 1e9;
+  profile.bg_mean_on_s = 2e-4;
+  profile.bg_mean_off_s = 3e-4;
+  return profile;
+}
+
+/// One (seed, epoch) of toggling_profile(), pinned as hexfloats from the
+/// eagerly seeded engines the lazy ones replaced: the traffic snapshot as
+/// its count of background-loaded links and two digests of available_bps
+/// (the plain sum and the sum weighted by link id + 1), and
+/// true_path_rates_bps over every ordered pair of the first 4 VMs.
+struct SettleGolden {
+  std::uint64_t seed;
+  std::uint64_t epoch;
+  std::size_t loaded_links;
+  double available_sum;
+  double available_weighted_sum;
+  double rates[12];
+};
+
+constexpr SettleGolden kTogglingGoldens[] = {
+    {5, 1, 115, 0x1.0fc08df7aaaabp+40, 0x1.581797f0a5555p+48,
+     {0x1.ca56a469bef2bp+29, 0x1.3de4355555557p+29, 0x1.004ccbp+32,
+      0x1.dcd65p+29, 0x1.3de4355555556p+29, 0x1.dcd65p+29,
+      0x1.3de4355555555p+29, 0x1.b2cf25f541b87p+29, 0x1.3de4355555555p+29,
+      0x1.004ccbp+32, 0x1.dcd65p+29, 0x1.3de4355555557p+29}},
+    {5, 2, 138, 0x1.0c6442c755557p+40, 0x1.55859f3361aacp+48,
+     {0x1.ca56a469bef2bp+29, 0x1.3de4355555555p+29, 0x1.004ccbp+32,
+      0x1.000038c80a617p+30, 0x1.dcd65p+28, 0x1.000038c80a617p+30,
+      0x1.3de4355555557p+29, 0x1.7d784p+28, 0x1.3de4355555557p+29,
+      0x1.004ccbp+32, 0x1.f9b6369ca2f06p+29, 0x1.3de4355555555p+29}},
+    {5, 7, 116, 0x1.10912bbaaaaabp+40, 0x1.55e0ec2b32fffp+48,
+     {0x1.ca56a469bef2bp+29, 0x1.ca56a469bef2bp+29, 0x1.004ccbp+32,
+      0x1.dcd65p+28, 0x1.3de4355555555p+29, 0x1.dcd65p+28,
+      0x1.dcd65p+28, 0x1.dcd65p+28, 0x1.dcd65p+28,
+      0x1.004ccbp+32, 0x1.dcd65p+29, 0x1.f9b6369ca2f06p+29}},
+    {23, 1, 124, 0x1.0ea47068p+40, 0x1.58afcf784fp+48,
+     {0x1.3de4355555556p+29, 0x1.78cd9ffb5b102p+29, 0x1.78cd9ffb5b102p+29,
+      0x1.dcd65p+29, 0x1.3de4355555555p+28, 0x1.3de4355555555p+28,
+      0x1.3de4355555555p+29, 0x1.dcd65p+28, 0x1.b64edae96f494p+29,
+      0x1.3de4355555555p+29, 0x1.3de4355555555p+29, 0x1.dcd65p+28}},
+    {23, 2, 117, 0x1.13e6efb79e79cp+40, 0x1.5e10719bdbcf4p+48,
+     {0x1.78cd9ffb5b102p+29, 0x1.3de4355555555p+29, 0x1.3de4355555555p+28,
+      0x1.06d672e335cfp+30, 0x1.3de4355555555p+28, 0x1.3de4355555555p+29,
+      0x1.107a76db6db6ep+28, 0x1.107a76db6db6ep+28, 0x1.b64edae96f494p+29,
+      0x1.107a76db6db6ep+28, 0x1.a7bdc8c47697bp+29, 0x1.7d784p+29}},
+    {23, 7, 156, 0x1.08d09eb6db6d9p+40, 0x1.4afe12893575dp+48,
+     {0x1.78cd9ffb5b102p+29, 0x1.3de4355555555p+29, 0x1.3de4355555555p+29,
+      0x1.8d5d42aaaaaabp+29, 0x1.3de4355555555p+29, 0x1.3de4355555555p+29,
+      0x1.08e8d71c71c72p+29, 0x1.3de4355555555p+29, 0x1.3de4355555555p+29,
+      0x1.5861e471c71c7p+29, 0x1.8d5d42aaaaaabp+28, 0x1.dcd6500000002p+28}},
+};
+
+TEST(TrueRates, TogglingBackgroundMatchesPinnedGoldens) {
+  const ProviderProfile profile = toggling_profile();
+  for (const SettleGolden& g : kTogglingGoldens) {
+    SCOPED_TRACE(testing::Message() << "seed " << g.seed << " epoch " << g.epoch);
+    Cloud cloud(profile, g.seed);
+    const auto vms = cloud.allocate_vms(4);
+    {
+      const auto bundle = cloud.make_sim(g.epoch);
+      bundle->sim.run_until(Cloud::kBackgroundSettleS);
+      EXPECT_GT(bundle->sim.reallocations(), 200u);
+    }
+    const Cloud::TrafficSnapshot snap = cloud.traffic_snapshot(g.epoch);
+    std::size_t loaded = 0;
+    double sum = 0.0, weighted = 0.0;
+    for (std::size_t l = 0; l < snap.available_bps.size(); ++l) {
+      sum += snap.available_bps[l];
+      weighted += snap.available_bps[l] * static_cast<double>(l + 1);
+      if (snap.available_bps[l] < cloud.topology().link(l).capacity_bps) ++loaded;
+    }
+    EXPECT_EQ(loaded, g.loaded_links);
+    EXPECT_TRUE(same_bits(sum, g.available_sum)) << std::hexfloat << sum;
+    EXPECT_TRUE(same_bits(weighted, g.available_weighted_sum)) << std::hexfloat << weighted;
+
+    const std::vector<double> rates =
+        cloud.true_path_rates_bps(bench::all_ordered_pairs(vms), g.epoch);
+    ASSERT_EQ(rates.size(), std::size(g.rates));
+    for (std::size_t k = 0; k < rates.size(); ++k) {
+      EXPECT_TRUE(same_bits(rates[k], g.rates[k]))
+          << "pair " << k << ": " << std::hexfloat << rates[k];
+    }
+  }
+}
+
+// Cloud::traffic_snapshot against the eager settle it replaced
+// (bench/settle_oracle.h): a private router, a freshly built resource table
+// and fully seeded engines. Bit-identical on every stock profile, where
+// almost no flow toggles inside the settle, and on the toggling background,
+// where most flows build their engine mid-settle.
+TEST(TrueRates, SnapshotBitIdenticalToTheEagerSettle) {
+  std::size_t snapshots = 0;
+  for (const ProviderProfile& profile :
+       {cloud::ec2_2013(), cloud::ec2_2012(), cloud::rackspace(), toggling_profile()}) {
+    for (std::uint64_t seed : {3, 17}) {
+      Cloud cloud(profile, seed);
+      cloud.allocate_vms(6);
+      for (std::uint64_t epoch : {1, 2, 9, 40}) {
+        const std::vector<double> got = cloud.traffic_snapshot(epoch).available_bps;
+        const std::vector<double> want = bench::oracle_available_bps(cloud, seed, epoch);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+            << profile.name << " seed " << seed << " epoch " << epoch;
+        ++snapshots;
+      }
+    }
+  }
+  EXPECT_EQ(snapshots, 4u * 2u * 4u);
 }
 
 TEST(TrueRates, DenseCappedBackgroundSharingTheProbesBottlenecks) {
@@ -271,7 +391,8 @@ TEST(TrueRates, SimProbeRateEqualsTheAddedFlowAndLeavesTheSimulationUnchanged) {
     sim.run_until(kNow);
     sim.set_resource_capacity(hose, 4e8);
   };
-  flowsim::Sim probed(topo), twin(topo);
+  const net::Router router(topo);
+  flowsim::Sim probed(router), twin(router);
   build(probed);
   build(twin);
 
@@ -290,7 +411,7 @@ TEST(TrueRates, SimProbeRateEqualsTheAddedFlowAndLeavesTheSimulationUnchanged) {
     if (p % 3 == 0) spec.rate_cap = 2e8;
     const double rate = probed.probe_rate(spec);
 
-    flowsim::Sim added(topo);
+    flowsim::Sim added(router);
     build(added);
     const flowsim::FlowId id = added.add_flow(spec);
     added.run_until(kNow);
