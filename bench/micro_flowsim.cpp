@@ -16,12 +16,17 @@
 //      faster — than KernelMode::Reference, with auto-retire keeping memory
 //      proportional to the live flow set.
 //   4. Ground-truth views: an 8-VM ec2_2013 view from one batched
-//      Cloud::true_path_rates_bps call (one background settle, a what-if
-//      solve per pair) against the per-pair fresh simulations it replaced
-//      (bench/true_rate_oracle.h). The batch must be at least 5x faster,
-//      settle exactly once per view and match the per-pair rates bit for
+//      Cloud::true_path_rates_bps call (one background settle, one recorded
+//      waterfill, a replay per pair) against the per-pair fresh simulations
+//      it replaced (bench/true_rate_oracle.h). The batch must be at least
+//      5x faster, settle and record exactly once per view, recompute the
+//      kernel 0 times for its probes and match the per-pair rates bit for
 //      bit.
-//   5. Background settles: Cloud::traffic_snapshot (the fleet's fabric
+//   5. What-if probes: on the same settled views, the 56 probes replayed
+//      against one recorded waterfill (MaxMinKernel::WhatIf) against the
+//      component recompute per probe they replaced (oracle_probe_rate). The
+//      replay must be at least 3x faster per probe and match bit for bit.
+//   6. Background settles: Cloud::traffic_snapshot (the fleet's fabric
 //      template copied, flows routed through the cloud's router, ON-OFF
 //      engines built only when a flow toggles) against the eager settle it
 //      replaced (bench/settle_oracle.h). The snapshot must be at least 2x
@@ -306,6 +311,13 @@ int main(int argc, char** argv) {
     double per_pair_us = 0.0, batched_us = 0.0;
     std::size_t mismatches = 0;
     std::vector<double> per_pair(pairs.size());
+    // What-if probes on the same settled views: the rows the batch solves,
+    // replayed against one recording, and recomputed one probe at a time.
+    double replay_us = 0.0, recompute_us = 0.0;
+    std::uint64_t replay_recomputes = 0, oracle_recomputes = 0;
+    std::size_t probe_mismatches = 0;
+    std::vector<std::vector<flowsim::ResourceId>> rows(pairs.size());
+    std::vector<double> replayed(pairs.size());
     for (std::uint64_t epoch = 1; epoch <= views; ++epoch) {
       auto t0 = Clock::now();
       for (std::size_t k = 0; k < pairs.size(); ++k) {
@@ -320,33 +332,100 @@ int main(int argc, char** argv) {
       for (std::size_t k = 0; k < pairs.size(); ++k) {
         if (std::memcmp(&per_pair[k], &batched[k], sizeof(double)) != 0) ++mismatches;
       }
+
+      const auto bundle = cloud.make_sim(epoch);
+      bundle->sim.run_until(cloud::Cloud::kBackgroundSettleS);
+      const flowsim::Sim& sim = bundle->sim;
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        cloud.tenant_row(*bundle, pairs[k].first, pairs[k].second,
+                         cloud_substream(kCloudSeed, epoch, 9), rows[k]);
+      }
+      const std::uint64_t settled_recomputes = sim.kernel().stats().recomputes;
+      t0 = Clock::now();
+      {
+        const flowsim::MaxMinKernel::WhatIf what_if = sim.what_if();
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          replayed[k] = what_if.rate(rows[k].data(), rows[k].size());
+        }
+      }
+      replay_us += us_since(t0);
+      replay_recomputes += sim.kernel().stats().recomputes - settled_recomputes;
+      flowsim::MaxMinKernel scratch = sim.kernel();
+      t0 = Clock::now();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const double rate = oracle_probe_rate(scratch, rows[k].data(), rows[k].size());
+        if (std::memcmp(&rate, &replayed[k], sizeof(double)) != 0 ||
+            std::memcmp(&rate, &batched[k], sizeof(double)) != 0) {
+          ++probe_mismatches;
+        }
+      }
+      recompute_us += us_since(t0);
+      oracle_recomputes += scratch.stats().recomputes - settled_recomputes;
     }
-    per_pair_us /= static_cast<double>(views);
-    batched_us /= static_cast<double>(views);
+    const double n_views = static_cast<double>(views);
+    per_pair_us /= n_views;
+    batched_us /= n_views;
     const obs::MetricsSnapshot snap = registry.snapshot();
-    const auto* settles = snap.find_counter("flowsim.background_settles");
-    const double settles_per_view =
-        settles ? static_cast<double>(settles->value) / static_cast<double>(views) : 0.0;
+    const auto per_view = [&](const char* counter) {
+      const auto* c = snap.find_counter(counter);
+      return c ? static_cast<double>(c->value) / n_views : 0.0;
+    };
+    const double settles_per_view = per_view("flowsim.background_settles");
+    const double traces_per_view = per_view("flowsim.what_if_traces");
+    const double recomputes_per_view = static_cast<double>(replay_recomputes) / n_views;
+    const double oracle_recomputes_per_view = static_cast<double>(oracle_recomputes) / n_views;
     const double speedup = per_pair_us / batched_us;
 
     Table vt({"pairs", "per-pair (us)", "batched (us)", "speed-up", "settles/view",
-              "mismatches"});
+              "traces/view", "probe recomputes/view", "mismatches"});
     vt.add_row({fmt(static_cast<double>(pairs.size()), 0), fmt(per_pair_us, 1),
                 fmt(batched_us, 1), fmt(speedup, 1) + "x", fmt(settles_per_view, 2),
+                fmt(traces_per_view, 2), fmt(recomputes_per_view, 0),
                 fmt(static_cast<double>(mismatches), 0)});
     std::cout << vt.to_string();
     json.row()
         .row("kind", "true_view")
         .row("pairs", static_cast<double>(pairs.size()))
-        .row("views", static_cast<double>(views))
+        .row("views", n_views)
         .row("per_pair_us", per_pair_us)
         .row("batched_us", batched_us)
         .row("speedup", speedup)
         .row("settles_per_view", settles_per_view)
+        .row("traces_per_view", traces_per_view)
+        .row("recomputes_per_view", recomputes_per_view)
         .row("mismatches", static_cast<double>(mismatches));
     check(speedup >= 5.0, "a batched true view is at least 5x faster than per-pair sims");
     check(settles_per_view == 1.0, "a batched true view settles the background once");
+    check(traces_per_view == 1.0, "a batched true view records one waterfill");
+    check(recomputes_per_view == 0.0, "a true view's probes recompute the kernel 0 times");
     check(mismatches == 0, "batched true rates equal the per-pair rates bit for bit");
+
+    header(std::string("What-if probes: one recorded waterfill vs a recompute per probe") +
+           (smoke ? " [smoke]" : ""));
+    const double probes = n_views * static_cast<double>(pairs.size());
+    const double replay_per_probe = replay_us / probes;
+    const double recompute_per_probe = recompute_us / probes;
+    const double probe_speedup = recompute_us / replay_us;
+    Table wt({"probes", "replay (us/probe)", "recompute (us/probe)", "speed-up",
+              "recomputes/view", "oracle recomputes/view", "mismatches"});
+    wt.add_row({fmt(probes, 0), fmt(replay_per_probe, 3), fmt(recompute_per_probe, 3),
+                fmt(probe_speedup, 1) + "x", fmt(recomputes_per_view, 0),
+                fmt(oracle_recomputes_per_view, 0),
+                fmt(static_cast<double>(probe_mismatches), 0)});
+    std::cout << wt.to_string();
+    json.row()
+        .row("kind", "what_if")
+        .row("probes", probes)
+        .row("replay_us_per_probe", replay_per_probe)
+        .row("recompute_us_per_probe", recompute_per_probe)
+        .row("speedup", probe_speedup)
+        .row("recomputes_per_view", recomputes_per_view)
+        .row("oracle_recomputes_per_view", oracle_recomputes_per_view)
+        .row("mismatches", static_cast<double>(probe_mismatches));
+    check(probe_speedup >= 3.0,
+          "replaying one recorded waterfill is at least 3x faster per probe than a "
+          "component recompute");
+    check(probe_mismatches == 0, "replayed probes equal the component recompute bit for bit");
   }
 
   header(std::string("Background settle: traffic snapshot vs eager settle") +

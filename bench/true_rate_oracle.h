@@ -1,13 +1,17 @@
 #pragma once
 
-// The per-pair ground-truth computation Cloud::true_path_rates_bps replaced,
-// kept outside the library as the differential oracle for the batched
-// what-if solve. Shared by tests/test_true_rates.cpp, which pins the batch
-// bit-identical to it, and bench/micro_flowsim.cpp, which prices the two.
+// The per-pair ground-truth computations Cloud::true_path_rates_bps
+// replaced, kept outside the library as differential oracles. Shared by
+// tests/test_true_rates.cpp, which pins the batch bit-identical to them, and
+// bench/micro_flowsim.cpp, which prices them.
 //
-// One fresh fluid simulation per pair: the epoch's background plus the
-// probe (the same tenant flow and ECMP key the batch uses, registered after
-// the background flows), run to the settle instant, the probe's rate read.
+// oracle_true_rate: one fresh fluid simulation per pair, the epoch's
+// background plus the probe (the same tenant flow and ECMP key the batch
+// uses, registered after the background flows), run to the settle instant,
+// the probe's rate read.
+//
+// oracle_probe_rate: one what-if probe as a component recompute, the way the
+// kernel answered probes before it recorded one waterfill per view.
 
 #include <cstdint>
 #include <memory>
@@ -15,6 +19,7 @@
 #include <vector>
 
 #include "cloud/cloud.h"
+#include "flowsim/max_min_kernel.h"
 #include "flowsim/sim.h"
 
 namespace choreo::bench {
@@ -48,6 +53,23 @@ inline OracleRun oracle_true_rate(const cloud::Cloud& cloud, std::uint64_t cloud
   run.bundle->sim.run_until(cloud::Cloud::kBackgroundSettleS);
   run.rate_bps = run.bundle->sim.flow(run.probe).rate_bps;
   return run;
+}
+
+/// The rate a flow with `row` would get alongside `kernel`'s active set:
+/// register the row last, activate it, re-waterfill the dirty region (the
+/// component(s) the row touches, plus any dirt already pending), read its
+/// rate, then deactivate and retire it. One recompute per probe. `kernel` is
+/// a scratch copy: each call leaves one retired flow behind and the probed
+/// components dirty, which the next call's recompute consumes.
+inline double oracle_probe_rate(flowsim::MaxMinKernel& kernel, const flowsim::ResourceId* row,
+                                std::size_t len) {
+  const std::size_t probe = kernel.add_flow(row, len);
+  kernel.activate(probe);
+  kernel.recompute();
+  const double rate = kernel.rate(probe);
+  kernel.deactivate(probe);
+  kernel.retire(probe);
+  return rate;
 }
 
 /// Every ordered pair of `vms`, row-major — the order true_cluster_view asks.

@@ -168,23 +168,32 @@ void Cloud::add_background(SimBundle& bundle, std::uint64_t epoch) const {
   }
 }
 
+flowsim::ResourceId Cloud::tenant_resource(const SimBundle& bundle, VmId src,
+                                           VmId dst) const {
+  CHOREO_REQUIRE(src < vms_.size() && dst < vms_.size());
+  CHOREO_REQUIRE(src != dst);
+  const net::NodeId host = vms_[src].host;
+  return host == vms_[dst].host ? bundle.host_vswitch[host] : bundle.vm_egress[src];
+}
+
 flowsim::FlowSpec Cloud::tenant_flow(const SimBundle& bundle, VmId src, VmId dst,
                                      double bytes, double start_s,
                                      std::uint64_t flow_key) const {
-  CHOREO_REQUIRE(src < vms_.size() && dst < vms_.size());
-  CHOREO_REQUIRE(src != dst);
   flowsim::FlowSpec spec;
+  spec.extra_resources.push_back(tenant_resource(bundle, src, dst));
   spec.src = vms_[src].host;
   spec.dst = vms_[dst].host;
   spec.bytes = bytes;
   spec.start_time = start_s;
   spec.flow_key = flow_key;
-  if (vms_[src].host == vms_[dst].host) {
-    spec.extra_resources.push_back(bundle.host_vswitch[vms_[src].host]);
-  } else {
-    spec.extra_resources.push_back(bundle.vm_egress[src]);
-  }
   return spec;
+}
+
+void Cloud::tenant_row(const SimBundle& bundle, VmId src, VmId dst, std::uint64_t flow_key,
+                       std::vector<flowsim::ResourceId>& row) const {
+  row.assign(1, tenant_resource(bundle, src, dst));
+  const net::NodeId a = vms_[src].host, b = vms_[dst].host;
+  if (a != b) router_.route_links(a, b, flow_key, row);
 }
 
 double Cloud::netperf_bps(VmId src, VmId dst, double duration_s, std::uint64_t epoch) {
@@ -409,6 +418,7 @@ void Cloud::set_observer(const obs::Observer& o) {
   obs_handles_.trains = o.counter("packetsim.trains");
   obs_handles_.train_fallbacks = o.counter("packetsim.train_fallbacks");
   obs_handles_.background_settles = o.counter("flowsim.background_settles");
+  obs_handles_.what_if_traces = o.counter("flowsim.what_if_traces");
 }
 
 Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
@@ -453,7 +463,7 @@ Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
   for (double c : result.completion_s) result.makespan_s = std::max(result.makespan_s, c);
 
   // The bundle is local to this call, so its kernel counters ARE the deltas.
-  const flowsim::MaxMinKernel::Stats& ks = bundle->sim.kernel_stats();
+  const flowsim::MaxMinKernel::Stats& ks = bundle->sim.kernel().stats();
   CHOREO_OBS_INC(obs_handles_.executes, obs_);
   CHOREO_OBS_ADD(obs_handles_.flows, obs_, live.size());
   CHOREO_OBS_ADD(obs_handles_.recomputes, obs_, ks.recomputes);
@@ -473,10 +483,13 @@ std::vector<double> Cloud::true_path_rates_bps(
   if (pairs.empty()) return rates;
   rates.reserve(pairs.size());
   const auto bundle = settled_background(epoch);
+  const flowsim::MaxMinKernel::WhatIf what_if = bundle->sim.what_if();
+  CHOREO_OBS_INC(obs_handles_.what_if_traces, obs_);
   const std::uint64_t flow_key = substream(seed_, epoch, 9);
+  std::vector<flowsim::ResourceId> row;
   for (const auto& [src, dst] : pairs) {
-    rates.push_back(bundle->sim.probe_rate(
-        tenant_flow(*bundle, src, dst, flowsim::kInfiniteBytes, 0.0, flow_key)));
+    tenant_row(*bundle, src, dst, flow_key, row);
+    rates.push_back(what_if.rate(row.data(), row.size()));
   }
   return rates;
 }

@@ -161,9 +161,10 @@ class Cloud {
   /// event-free pass left to the event simulator; to ground truth:
   /// "cloud.true_rates" spans (arg: pairs); and flowsim.background_settles
   /// for every background settle (one per traffic snapshot or ground-truth
-  /// batch). execute(), trains and ground truth may run on several threads
-  /// at once — counter adds are atomic and spans commit lock-free, so
-  /// attaching an observer never serializes callers.
+  /// batch) and flowsim.what_if_traces for every recorded waterfill (one
+  /// per ground-truth batch). execute(), trains and ground truth may run on
+  /// several threads at once — counter adds are atomic and spans commit
+  /// lock-free, so attaching an observer never serializes callers.
   void set_observer(const obs::Observer& o);
 
   /// Warm-up after which an epoch's ON-OFF background counts as settled:
@@ -177,9 +178,10 @@ class Cloud {
   /// the epoch's background flows reads at kBackgroundSettleS. One
   /// background settle serves every pair — background flows are persistent
   /// and toggle on their own seeded streams, so the active set at the
-  /// settle instant does not depend on any probe, and each probe is a
-  /// what-if solve against it (flowsim::Sim::probe_rate). Thread-safe:
-  /// const, touches no mutable state.
+  /// settle instant does not depend on any probe. The settled waterfill is
+  /// recorded once (flowsim::MaxMinKernel::WhatIf) and every pair is a
+  /// replay of it against the pair's row, built in one reused buffer.
+  /// Thread-safe: const, touches no mutable state.
   std::vector<double> true_path_rates_bps(const std::vector<std::pair<VmId, VmId>>& pairs,
                                           std::uint64_t epoch) const;
 
@@ -208,6 +210,12 @@ class Cloud {
   flowsim::FlowSpec tenant_flow(const SimBundle& bundle, VmId src, VmId dst, double bytes,
                                 double start_s, std::uint64_t flow_key) const;
 
+  /// The kernel row of tenant_flow(bundle, src, dst, ..., flow_key): its
+  /// source hose or vswitch, then its route's links. Replaces `row`'s
+  /// contents; builds no FlowSpec or Route.
+  void tenant_row(const SimBundle& bundle, VmId src, VmId dst, std::uint64_t flow_key,
+                  std::vector<flowsim::ResourceId>& row) const;
+
  private:
   struct VmRecord {
     net::NodeId host;
@@ -215,6 +223,9 @@ class Cloud {
   };
 
   double draw_hose_rate(Rng& rng) const;
+  /// The shared resource a tenant flow src->dst adds to its route: the
+  /// vswitch of a shared host, else the source VM's hose.
+  flowsim::ResourceId tenant_resource(const SimBundle& bundle, VmId src, VmId dst) const;
   /// Rebuilds fabric_ for the current fleet.
   void build_fabric();
   void add_background(SimBundle& bundle, std::uint64_t epoch) const;
@@ -250,7 +261,7 @@ class Cloud {
   struct ObsHandles {
     obs::Counter executes, flows, recomputes, waterfill_rounds, reallocations;
     obs::Counter trains, train_fallbacks;
-    obs::Counter background_settles;
+    obs::Counter background_settles, what_if_traces;
   };
   ObsHandles obs_handles_;
 };

@@ -99,15 +99,14 @@ class MaxMinKernel {
   /// applies). Meaningful only while the flow is active.
   double rate(std::size_t flow) const { return rate_[flow]; }
 
-  /// What-if solve: the rate a flow with resource row `row` would get if it
-  /// were activated alongside the current active set. The probe is
-  /// registered last (so it takes the next flow id), activated, its
-  /// component waterfilled, then deactivated and unregistered: the active
-  /// set and flow ids are unchanged. The region the probe visited is left
-  /// dirty, so the next recompute() restores its flows' rates. Dirt pending
-  /// before the call is consumed by the probe's recompute without being
-  /// reported: callers that mirror rates recompute() first.
-  double probe_rate(const ResourceId* row, std::size_t len);
+  class WhatIf;
+  /// Records one waterfill of every active flow, from the capacities and
+  /// the active set alone (pending dirt and stored rates play no part), and
+  /// returns it as a what-if solver: WhatIf::rate answers "what rate would a
+  /// flow with this row get if it joined the active set now" without
+  /// touching the kernel. The recording is sized by the resources active
+  /// flows cross, not by the resource table.
+  WhatIf what_if() const;
 
   // ---- introspection ------------------------------------------------------
 
@@ -166,6 +165,95 @@ class MaxMinKernel {
   std::uint64_t epoch_ = 0;
 
   Stats stats_;
+};
+
+/// One recorded waterfill of a kernel's active set (MaxMinKernel::what_if),
+/// answering what-if probes by replay.
+///
+/// The recording keeps every waterfill round as (share, bottleneck,
+/// component) and, per resource an active flow crosses, its (remaining,
+/// load) after every round that touched it. rate(row) walks only the rounds
+/// of the components the row's resources belong to, in recorded order. At
+/// each round the row's resources take the share remaining/(load + m), where
+/// m is the resource's multiplicity in the row. The probe freezes at the
+/// first round where a row resource beats the recorded bottleneck (a lower
+/// share, or an equal share and a lower id), or where the bottleneck is
+/// itself a row resource; its rate is then the row's smallest share. A row
+/// resource whose remaining reaches 0 gives rate 0 at once. If no round
+/// freezes the probe, its rate is the row's smallest share after the last
+/// round.
+///
+/// This is bit-identical to activating the probe and recomputing
+/// (max_min_rates over the active rows plus the probe's row). Components
+/// waterfill independently, and a recorded round is the smallest head over
+/// all components: a row that beats a round of a component it does not
+/// touch also beats the next round of one it does, so those rounds can be
+/// skipped. Until the probe
+/// freezes, every round picks the same bottleneck and freezes the same flows
+/// with the same subtractions as the recording: only the row's resources
+/// see a different share, and none of them beat it. When the recorded
+/// bottleneck lies in the row, its share with the probe is lower (or both
+/// are 0), so a row resource wins that round.
+///
+/// A WhatIf answers for the active set and capacities it recorded. It reads
+/// the capacities of resources no active flow crosses from its kernel, so
+/// it must not outlive the kernel or outlast a capacity change. rate() is
+/// const and,
+/// for rows of up to kInlineRow distinct resources, allocation-free, so one
+/// recording may serve many threads.
+class MaxMinKernel::WhatIf {
+ public:
+  static constexpr std::size_t kInlineRow = 16;
+
+  /// Rate a flow with resource row `row` (duplicates count with their
+  /// multiplicity) would get alongside the recorded active set; an empty row
+  /// gets the kernel's unconstrained rate.
+  double rate(const ResourceId* row, std::size_t len) const;
+
+ private:
+  friend class MaxMinKernel;
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  struct Round {
+    double share;
+    std::size_t bottleneck;  // index into res_
+    std::size_t component;
+  };
+  /// A resource's state after round `round` (1-based; 0 is before any).
+  struct State {
+    std::size_t round;
+    std::size_t load;
+    double remaining;
+  };
+  /// One distinct resource of a probed row.
+  struct Slot {
+    ResourceId res;
+    std::size_t local;  // index into res_, or kNone
+    std::size_t mult;
+    std::size_t state;  // index into hist_ (unused when local == kNone)
+    double remaining;
+    std::size_t load;
+  };
+  /// A touched component's next unreplayed round.
+  struct Cursor {
+    std::size_t component;
+    std::size_t next;  // index into component_rounds_
+  };
+
+  double rate_with(const ResourceId* row, std::size_t len, Slot* slots,
+                   Cursor* cursors) const;
+  /// Index of `r` in res_, or kNone.
+  std::size_t local_of(ResourceId r) const;
+
+  const MaxMinKernel* kernel_ = nullptr;
+  std::vector<ResourceId> res_;              // ascending
+  std::vector<std::size_t> res_component_;   // per res_
+  std::vector<std::size_t> hist_begin_;      // per res_, into hist_
+  std::vector<std::size_t> hist_end_;        // per res_
+  std::vector<State> hist_;
+  std::vector<Round> rounds_;                // round k is rounds_[k - 1]
+  std::vector<std::size_t> component_begin_;  // per component + 1, into component_rounds_
+  std::vector<std::size_t> component_rounds_;  // round indices, ascending per component
 };
 
 }  // namespace choreo::flowsim

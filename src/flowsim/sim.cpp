@@ -88,20 +88,10 @@ FlowId Sim::add_on_off_flow(const FlowSpec& spec, double mean_on_s, double mean_
   return id;
 }
 
-double Sim::probe_rate(const FlowSpec& spec) {
-  for (ResourceId r : spec.extra_resources) CHOREO_REQUIRE(r < kernel_.resource_count());
-  // Settle pending events' rates first: the probe's recompute would consume
-  // their dirt without writing their FlowState rates.
-  if (dirty_) reallocate();
-  row_scratch_.assign(spec.extra_resources.begin(), spec.extra_resources.end());
-  if (spec.src != spec.dst) {
-    const net::Route route = router_.route(spec.src, spec.dst, spec.flow_key);
-    row_scratch_.insert(row_scratch_.end(), route.links.begin(), route.links.end());
-  }
-  // FlowState rates are untouched; the kernel re-solves the component the
-  // probe visited (left dirty) on the next event's reallocation.
-  return std::min(kernel_.probe_rate(row_scratch_.data(), row_scratch_.size()),
-                  spec.rate_cap);
+double Sim::probe_rate(const FlowSpec& spec) const {
+  std::vector<ResourceId> row(spec.extra_resources.begin(), spec.extra_resources.end());
+  if (spec.src != spec.dst) router_.route_links(spec.src, spec.dst, spec.flow_key, row);
+  return std::min(kernel_.what_if().rate(row.data(), row.size()), spec.rate_cap);
 }
 
 void Sim::add_sampler(double start_s, double interval_s, std::function<void(double)> fn) {

@@ -123,9 +123,22 @@ class Sim {
   /// flow would have it. Exactly the rate that flow, registered after every
   /// existing flow, would read at this instant: the waterfill depends only
   /// on the active set, which the probe does not change. Nothing is added
-  /// to the simulation and no flow's rate moves. `spec.bytes` and
-  /// `spec.start_time` are ignored.
-  double probe_rate(const FlowSpec& spec);
+  /// to the simulation and nothing in it changes. `spec.bytes` and
+  /// `spec.start_time` are ignored. Records a fresh waterfill per call: to
+  /// probe many rows against one instant, solve them against one what_if().
+  double probe_rate(const FlowSpec& spec) const;
+
+  /// The active set's waterfill at this instant, recorded for what-if
+  /// probes (MaxMinKernel::WhatIf). A probe's row is its extra resources
+  /// followed by its route's links (link resources share the links' ids).
+  /// Valid while this Sim lives and no resource capacity changes.
+  MaxMinKernel::WhatIf what_if() const { return kernel_.what_if(); }
+
+  /// The rate kernel: resource table, flow rows, active set and counters
+  /// (recomputes, region sizes, waterfill rounds). Its counters stay 0 in
+  /// Reference mode, and what-if probes never count: they leave it
+  /// untouched.
+  const MaxMinKernel& kernel() const { return kernel_; }
 
   /// Invokes `fn(now)` every `interval_s` seconds, from `start_s` until the
   /// simulation ends. Samplers see post-advance, post-reallocation state.
@@ -168,9 +181,6 @@ class Sim {
   double makespan() const { return makespan_; }
 
   KernelMode kernel_mode() const { return mode_; }
-  /// Incremental-kernel counters (recomputes, region sizes, waterfill
-  /// rounds); in Reference mode only probe_rate's what-if solves count.
-  const MaxMinKernel::Stats& kernel_stats() const { return kernel_.stats(); }
   /// Total reallocate() invocations that found dirty state, either mode.
   std::uint64_t reallocations() const { return reallocations_; }
 

@@ -50,13 +50,12 @@ const std::vector<std::uint8_t>& Router::distances_to(NodeId dst) const {
   return dist_cache_.emplace(dst, std::move(dist)).first->second;
 }
 
-Route Router::route(NodeId src, NodeId dst, std::uint64_t flow_key) const {
+template <class Hop>
+void Router::walk(NodeId src, NodeId dst, std::uint64_t flow_key, Hop&& hop) const {
   CHOREO_REQUIRE(src < topo_.node_count() && dst < topo_.node_count());
   const auto& dist = distances_to(dst);
   CHOREO_REQUIRE_MSG(dist[src] != kUnreachable, "destination unreachable");
 
-  Route r;
-  r.nodes.push_back(src);
   NodeId cur = src;
   while (cur != dst) {
     // Candidate next hops: neighbours strictly closer to dst.
@@ -75,11 +74,24 @@ Route Router::route(NodeId src, NodeId dst, std::uint64_t flow_key) const {
       }
     }
     CHOREO_ASSERT(found);
-    r.links.push_back(best_link);
+    hop(best_link);
     cur = topo_.link(best_link).dst;
-    r.nodes.push_back(cur);
   }
+}
+
+Route Router::route(NodeId src, NodeId dst, std::uint64_t flow_key) const {
+  Route r;
+  r.nodes.push_back(src);
+  walk(src, dst, flow_key, [&](LinkId l) {
+    r.links.push_back(l);
+    r.nodes.push_back(topo_.link(l).dst);
+  });
   return r;
+}
+
+void Router::route_links(NodeId src, NodeId dst, std::uint64_t flow_key,
+                         std::vector<LinkId>& links) const {
+  walk(src, dst, flow_key, [&](LinkId l) { links.push_back(l); });
 }
 
 std::size_t Router::hop_count(NodeId src, NodeId dst) const {

@@ -50,10 +50,19 @@ class Router {
   /// Throws PreconditionError if dst is unreachable from src.
   Route route(NodeId src, NodeId dst, std::uint64_t flow_key = 0) const;
 
+  /// Appends the links of route(src, dst, flow_key) to `links` without
+  /// building a Route: allocation-free once `links` has the capacity.
+  void route_links(NodeId src, NodeId dst, std::uint64_t flow_key,
+                   std::vector<LinkId>& links) const;
+
   /// Link count of the shortest path (independent of ECMP choice).
   std::size_t hop_count(NodeId src, NodeId dst) const;
 
  private:
+  /// Walks the route, calling `hop(link)` for each link in order.
+  template <class Hop>
+  void walk(NodeId src, NodeId dst, std::uint64_t flow_key, Hop&& hop) const;
+
   /// BFS distances from every node to `dst` (computed on demand, cached).
   const std::vector<std::uint8_t>& distances_to(NodeId dst) const;
 

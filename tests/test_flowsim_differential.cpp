@@ -330,9 +330,9 @@ void run_sim_corpus(std::uint64_t corpus_seed, SimCoverage& cov) {
   // The incremental side must actually have scoped some work to regions
   // smaller than the full active set — otherwise this suite is only testing
   // the full-recompute path. (Kept as a statistic, asserted in coverage.)
-  const MaxMinKernel::Stats& ks = inc.kernel_stats();
+  const MaxMinKernel::Stats& ks = inc.kernel().stats();
   EXPECT_GT(ks.recomputes, 0u);
-  EXPECT_EQ(ref.kernel_stats().recomputes, 0u);  // reference never enters the kernel
+  EXPECT_EQ(ref.kernel().stats().recomputes, 0u);  // reference never enters the kernel
 }
 
 constexpr std::uint64_t kSimSeeds = 25;

@@ -9,7 +9,10 @@
 // toggles inside the settle window, dense capped backgrounds, and
 // concurrent batches on one Cloud. The settle itself is pinned against the
 // eager settle it replaced (bench/settle_oracle.h) and, on a background that
-// toggles throughout the window, against hexfloat goldens.
+// toggles throughout the window, against hexfloat goldens. The what-if
+// replay under the batch (MaxMinKernel::WhatIf) is pinned against the
+// component recompute it replaced (bench::oracle_probe_rate) and against
+// max_min_rates, on random kernels and on settled fabrics.
 
 #include <gtest/gtest.h>
 
@@ -366,7 +369,8 @@ TEST(TrueRates, SimProbeRateEqualsTheAddedFlowAndLeavesTheSimulationUnchanged) {
   constexpr double kNow = 0.3;
   flowsim::ResourceId hose = 0;
   // Background churn and finite flows, run to kNow, then a capacity change
-  // left pending: the probe must not swallow that dirt.
+  // left pending: the probe must answer for the new capacity and leave the
+  // change for the next reallocation.
   const auto build = [&](flowsim::Sim& sim) {
     Rng rng(77);
     hose = sim.add_resource(8e8);
@@ -396,8 +400,7 @@ TEST(TrueRates, SimProbeRateEqualsTheAddedFlowAndLeavesTheSimulationUnchanged) {
   build(probed);
   build(twin);
 
-  // The last probe crosses no resource, so it leaves nothing dirty behind:
-  // only a Sim that settled the pending dirt first still has it right.
+  // The last probe crosses no resource and reads the unconstrained rate.
   Rng rng(5);
   for (int p = 0; p < 8; ++p) {
     const bool last = p == 7;
@@ -440,10 +443,10 @@ TEST(TrueRates, SimProbeRateEqualsTheAddedFlowAndLeavesTheSimulationUnchanged) {
   EXPECT_EQ(probed.reallocations(), twin.reallocations());
 }
 
-// The kernel's what-if solve against the reference waterfill: the probe's
+// The recorded waterfill's what-if answers against both oracles: a probe's
 // rate equals max_min_rates over the active rows plus the probe's row, and
-// the kernel comes back with its active set, flow ids and (after the next
-// recompute) every rate exactly as before.
+// the component recompute on a copy of the kernel. Recording and replaying
+// leave the kernel as it was: active set, flow ids, rates, no dirt.
 TEST(TrueRates, KernelProbeRateMatchesTheOracleAndLeavesTheKernelIntact) {
   Rng rng(2013);
   const double unconstrained = 1e12;
@@ -479,19 +482,24 @@ TEST(TrueRates, KernelProbeRateMatchesTheOracleAndLeavesTheKernelIntact) {
     const std::vector<double> settled =
         flowsim::max_min_rates(caps, active_rows, unconstrained);
 
+    const flowsim::MaxMinKernel::WhatIf what_if = kernel.what_if();
+    flowsim::MaxMinKernel scratch = kernel;
     for (int p = 0; p < 5; ++p) {
       const std::vector<flowsim::ResourceId> probe = random_row();
       if (probe.empty()) ++empty_rows;
       auto with_probe = active_rows;
       with_probe.push_back(probe);
       const double expected = flowsim::max_min_rates(caps, with_probe, unconstrained).back();
-      EXPECT_TRUE(same_bits(kernel.probe_rate(probe.data(), probe.size()), expected))
+      EXPECT_TRUE(same_bits(what_if.rate(probe.data(), probe.size()), expected))
+          << "instance " << instance << " probe " << p;
+      EXPECT_TRUE(
+          same_bits(bench::oracle_probe_rate(scratch, probe.data(), probe.size()), expected))
           << "instance " << instance << " probe " << p;
       EXPECT_EQ(kernel.flow_count(), rows.size());
       EXPECT_EQ(kernel.active_flows(), active);
+      EXPECT_FALSE(kernel.dirty());
       ++probes;
     }
-    kernel.recompute();
     for (std::size_t i = 0; i < active.size(); ++i) {
       EXPECT_TRUE(same_bits(kernel.rate(active[i]), settled[i]))
           << "instance " << instance << " flow " << active[i];
@@ -499,6 +507,224 @@ TEST(TrueRates, KernelProbeRateMatchesTheOracleAndLeavesTheKernelIntact) {
   }
   EXPECT_EQ(probes, 300u);
   EXPECT_GT(empty_rows, 0u);
+}
+
+/// Distinct components of the active rows that `row` touches.
+std::size_t components_touched(const std::vector<std::vector<flowsim::ResourceId>>& active_rows,
+                               std::size_t n_res, const std::vector<flowsim::ResourceId>& row) {
+  std::vector<std::size_t> parent(n_res);
+  for (std::size_t r = 0; r < n_res; ++r) parent[r] = r;
+  const auto root = [&](std::size_t r) {
+    while (parent[r] != r) r = parent[r];
+    return r;
+  };
+  std::vector<char> crossed(n_res, 0);
+  for (const auto& active : active_rows) {
+    for (flowsim::ResourceId r : active) {
+      crossed[r] = 1;
+      parent[root(r)] = root(active.front());
+    }
+  }
+  std::vector<std::size_t> roots;
+  for (flowsim::ResourceId r : row) {
+    if (crossed[r]) roots.push_back(root(r));
+  }
+  std::sort(roots.begin(), roots.end());
+  return static_cast<std::size_t>(std::unique(roots.begin(), roots.end()) - roots.begin());
+}
+
+// The randomized differential behind the replay: 100k probes over random
+// kernels, each answered by WhatIf::rate, by the component recompute on a
+// scratch copy and by max_min_rates, all bit for bit. Capacities are either
+// continuous or small integer multiples (equal shares, so the lowest-id
+// tie-break decides rounds), with zeros among them; rows repeat resources,
+// probes copy active rows, and probe rows touch no component, one or
+// several; a few exceed the replay's inline row slots. Between traces flows activate and deactivate, flows are added
+// and capacities change, with the dirt left pending half the time: a
+// recording depends on the active set and capacities only.
+TEST(TrueRates, WhatIfReplayMatchesBothOraclesOnRandomKernels) {
+  Rng rng(1709);
+  const double unconstrained = 1e12;
+  std::size_t probes = 0, zero_rates = 0, duplicate_entries = 0, copied_rows = 0, long_rows = 0;
+  std::size_t touching[3] = {0, 0, 0};  // probes touching 0, 1, >= 2 components
+  std::size_t mismatches = 0;
+  for (int instance = 0; instance < 1000; ++instance) {
+    flowsim::MaxMinKernel kernel(unconstrained);
+    const bool integer_caps = instance % 2 == 0;
+    const auto groups = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    const auto per_group = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    const auto spares = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    const std::size_t n_res = groups * per_group + spares;  // spares: no flow crosses them
+    const auto draw_cap = [&] {
+      if (integer_caps) return 1e8 * static_cast<double>(rng.uniform_int(0, 4));
+      return rng.chance(0.05) ? 0.0 : rng.uniform(1e8, 1e10);
+    };
+    for (std::size_t r = 0; r < n_res; ++r) kernel.add_resource(draw_cap());
+    // kind 0: spare resources only; 1: within one group; 2: across groups.
+    const auto random_row = [&](int kind, std::int64_t max_len = 5) {
+      std::vector<flowsim::ResourceId> row;
+      const auto len = rng.uniform_int(1, max_len);
+      const auto group = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(groups) - 1));
+      for (std::int64_t i = 0; i < len; ++i) {
+        if (kind == 0) {
+          row.push_back(groups * per_group + static_cast<std::size_t>(rng.uniform_int(
+                                                 0, static_cast<std::int64_t>(spares) - 1)));
+        } else if (kind == 1) {
+          row.push_back(group * per_group + static_cast<std::size_t>(rng.uniform_int(
+                                                0, static_cast<std::int64_t>(per_group) - 1)));
+        } else {
+          row.push_back(static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(groups * per_group) - 1)));
+        }
+      }
+      return row;
+    };
+    std::vector<std::vector<flowsim::ResourceId>> rows;
+    const auto add_flow = [&] {
+      rows.push_back(rng.chance(0.1) ? std::vector<flowsim::ResourceId>{}
+                                     : random_row(rng.chance(0.8) ? 1 : 2));
+      const std::size_t id = kernel.add_flow(rows.back().data(), rows.back().size());
+      if (rng.chance(0.7)) kernel.activate(id);
+    };
+    const auto n_flows = rng.uniform_int(1, 16);
+    for (std::int64_t f = 0; f < n_flows; ++f) add_flow();
+
+    for (int trace = 0; trace < 5; ++trace) {
+      if (trace > 0) {
+        const auto toggles = rng.uniform_int(1, 4);
+        for (std::int64_t t = 0; t < toggles; ++t) {
+          const auto f = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
+          if (kernel.is_active(f)) {
+            kernel.deactivate(f);
+          } else {
+            kernel.activate(f);
+          }
+        }
+        if (rng.chance(0.3)) add_flow();
+        if (rng.chance(0.3)) {
+          kernel.set_capacity(static_cast<flowsim::ResourceId>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(n_res) - 1)),
+                              draw_cap());
+        }
+      }
+      if (rng.chance(0.5)) kernel.recompute();
+
+      std::vector<std::vector<flowsim::ResourceId>> active_rows;
+      for (std::size_t f : kernel.active_flows()) active_rows.push_back(rows[f]);
+      const flowsim::MaxMinKernel::WhatIf what_if = kernel.what_if();
+      flowsim::MaxMinKernel scratch = kernel;
+      for (int p = 0; p < 20; ++p) {
+        std::vector<flowsim::ResourceId> probe;
+        if (!active_rows.empty() && rng.chance(0.1)) {
+          probe = active_rows[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(active_rows.size()) - 1))];
+          ++copied_rows;
+        } else {
+          const int kind = rng.chance(0.1) ? 0 : rng.chance(0.5) ? 1 : 2;
+          // Now and then a row longer than WhatIf's inline slots.
+          probe = random_row(kind, rng.chance(0.02) ? 24 : 5);
+          if (kind == 2 && rng.chance(0.3)) {
+            probe.push_back(groups * per_group);  // a spare alongside components
+          }
+        }
+        std::vector<flowsim::ResourceId> sorted = probe;
+        std::sort(sorted.begin(), sorted.end());
+        if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+          ++duplicate_entries;
+        }
+        ++touching[std::min<std::size_t>(components_touched(active_rows, n_res, probe), 2)];
+        if (probe.size() > flowsim::MaxMinKernel::WhatIf::kInlineRow) ++long_rows;
+
+        auto with_probe = active_rows;
+        with_probe.push_back(probe);
+        const double expected =
+            flowsim::max_min_rates(kernel.capacities(), with_probe, unconstrained).back();
+        const double got = what_if.rate(probe.data(), probe.size());
+        const double recomputed = bench::oracle_probe_rate(scratch, probe.data(), probe.size());
+        if (!same_bits(got, expected) || !same_bits(recomputed, expected)) {
+          if (++mismatches <= 10) {
+            ADD_FAILURE() << "instance " << instance << " trace " << trace << " probe " << p
+                          << ": replay " << got << ", recompute " << recomputed
+                          << ", max_min_rates " << expected;
+          }
+        }
+        if (expected == 0.0) ++zero_rates;
+        ++probes;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(probes, 100000u);
+  EXPECT_GT(touching[0], probes / 20);
+  EXPECT_GT(touching[1], probes / 5);
+  EXPECT_GT(touching[2], probes / 20);
+  EXPECT_GT(zero_rates, probes / 100);
+  EXPECT_GT(duplicate_entries, probes / 10);
+  EXPECT_GT(copied_rows, probes / 20);
+  EXPECT_GT(long_rows, 100u);
+}
+
+// The replay on settled clouds, where the batch uses it: random tenant rows
+// (any VM pair, any ECMP key, sometimes a second hose or a repeated link)
+// against the component recompute and max_min_rates over the settled
+// sim's active rows. The thin-fabric profiles make the background decide
+// many rates; the stock profile is the hose matrix.
+TEST(TrueRates, WhatIfReplayMatchesBothOraclesOnSettledFabrics) {
+  ProviderProfile dense = thin_fabric(cloud::ec2_2013(), 2e9);
+  dense.bg_flow_count = 240;
+  dense.bg_rate_cap_bps = 150e6;
+  dense.bg_core_bias = 0.9;
+  Rng rng(9001);
+  std::size_t probes = 0, below_hose = 0;
+  for (const ProviderProfile& profile :
+       {thin_fabric(cloud::ec2_2013(), 2e9), dense, toggling_profile(), cloud::ec2_2013()}) {
+    for (std::uint64_t seed : {4, 21}) {
+      Cloud cloud(profile, seed);
+      const auto vms = cloud.allocate_vms(8);
+      for (std::uint64_t epoch : {1, 5}) {
+        const auto bundle = cloud.make_sim(epoch);
+        bundle->sim.run_until(Cloud::kBackgroundSettleS);
+        const flowsim::Sim& sim = bundle->sim;
+        std::vector<std::vector<flowsim::ResourceId>> active_rows;
+        for (flowsim::FlowId f : sim.kernel().active_flows()) {
+          std::vector<flowsim::ResourceId> row = sim.flow(f).spec.extra_resources;
+          row.insert(row.end(), sim.flow(f).route.links.begin(), sim.flow(f).route.links.end());
+          active_rows.push_back(std::move(row));
+        }
+        const flowsim::MaxMinKernel::WhatIf what_if = sim.what_if();
+        flowsim::MaxMinKernel scratch = sim.kernel();
+        std::vector<flowsim::ResourceId> row;
+        for (int p = 0; p < 120; ++p) {
+          const auto pick = [&] {
+            return vms[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(vms.size()) - 1))];
+          };
+          const VmId src = pick();
+          VmId dst = pick();
+          while (dst == src) dst = pick();
+          cloud.tenant_row(*bundle, src, dst, rng.engine()(), row);
+          if (rng.chance(0.2)) row.push_back(bundle->vm_egress[pick()]);
+          if (rng.chance(0.2)) row.push_back(row.back());
+
+          auto with_probe = active_rows;
+          with_probe.push_back(row);
+          const double expected =
+              flowsim::max_min_rates(sim.kernel().capacities(), with_probe, 400e9).back();
+          EXPECT_TRUE(same_bits(what_if.rate(row.data(), row.size()), expected))
+              << profile.name << " seed " << seed << " epoch " << epoch << " probe " << p;
+          EXPECT_TRUE(same_bits(bench::oracle_probe_rate(scratch, row.data(), row.size()),
+                                expected))
+              << profile.name << " seed " << seed << " epoch " << epoch << " probe " << p;
+          if (expected < cloud.vm_hose_bps(src)) ++below_hose;
+          ++probes;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(probes, 4u * 2u * 2u * 120u);
+  EXPECT_GT(below_hose, probes / 4);
 }
 
 }  // namespace
